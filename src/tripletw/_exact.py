@@ -7,6 +7,7 @@ floating point enters anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 IntVec = tuple[int, ...]
@@ -105,3 +106,64 @@ def sqrt_upper(x: Fraction) -> Fraction:
     if s * s == m:
         return Fraction(s, x.denominator)
     return Fraction(s + 1, x.denominator)
+
+
+@lru_cache(maxsize=None)  # one entry per Gram matrix: two per root type in use
+def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+    """Exact G = U^T D U with U unit upper triangular, so that
+    y^T G y = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2.  Returns (d, u).
+
+    Raises ValueError unless G is symmetric positive definite.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix is not symmetric")
+    for i in range(n):
+        d = a[i][i]
+        if d <= 0:
+            raise ValueError("Gram matrix is not positive definite")
+        for j in range(i + 1, n):
+            a[i][j] /= d
+        for k in range(i + 1, n):
+            for j in range(k, n):
+                a[k][j] -= a[i][k] * d * a[i][j]
+    return (tuple(a[i][i] for i in range(n)),
+            tuple(tuple(a[i]) for i in range(n)))
+
+
+def lattice_points(gram, center, bound, lower=None):
+    """Every integer vector r with (r - c)^T G (r - c) <= B, and r_i >= lower_i
+    when `lower` is given; each exactly once, in a fixed order.
+
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) on an exact LDL^T of the
+    Gram matrix: coordinates are fixed from the last one down, and each
+    interval |b r_i - a| <= t, with a/b its centre given the coordinates
+    already fixed, takes t from sqrt_floor of the remaining budget.  Boundary
+    points are included; nothing is evaluated in floating point.
+    """
+    d, u = _ldl(tuple(tuple(row) for row in gram))
+    n = len(d)
+    c = tuple(Fraction(x) for x in center)
+    budget = Fraction(bound)
+    if len(c) != n or (lower is not None and len(lower) != n):
+        raise ValueError("dimension mismatch")
+    if budget < 0:
+        return
+    r = [0] * n
+
+    def rec(i, left):
+        m = c[i] - sum(u[i][j] * (r[j] - c[j]) for j in range(i + 1, n))
+        a, b = m.numerator, m.denominator
+        t = sqrt_floor(left / d[i] * b * b)
+        lo = -((t - a) // b)
+        if lower is not None and lower[i] > lo:
+            lo = lower[i]
+        for x in range(lo, (a + t) // b + 1):
+            r[i] = x
+            if i == 0:
+                yield tuple(r)
+            else:
+                yield from rec(i - 1, left - d[i] * (x - m) ** 2)
+
+    yield from rec(n - 1, budget)

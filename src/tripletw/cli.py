@@ -361,8 +361,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    saved_cap = rootsys.DEFAULT_WEYL_CAP
     if getattr(args, "weyl_cap", None) is not None:
-        # propagate to call sites that don't take an explicit cap
+        # propagate to call sites that don't take an explicit cap, for this
+        # call only
         rootsys.DEFAULT_WEYL_CAP = args.weyl_cap
     try:
         return args.func(args)
@@ -374,6 +376,8 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        rootsys.DEFAULT_WEYL_CAP = saved_cap
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ._exact import IntVec, dot, mat_vec
 from .rootsys import (
@@ -238,18 +239,9 @@ def lambda_params(mp: ModelParams) -> tuple[LambdaParam, ...]:
     for lam0 in lambda0_set(rs):
         out.extend(
             LambdaParam(lambda0=lam0, sp=sp, p=mp.p)
-            for sp in _digit_grid(rs.rank, mp.p)
+            for sp in product(range(mp.p), repeat=rs.rank)
         )
     return tuple(out)
-
-
-def _digit_grid(rank: int, p: int):
-    if rank == 0:
-        yield ()
-        return
-    for head in range(p):
-        for tail in _digit_grid(rank - 1, p):
-            yield (head,) + tail
 
 
 def lambda_x(mp: ModelParams, lam: LambdaParam) -> ScaledWeight:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._exact import IntVec, dot, mat_vec, sqrt_floor, sqrt_upper
+from ._exact import IntVec, dot, lattice_points, mat_vec, sqrt_upper
 from .affine import affine_exponent
 from .params import (
     LambdaParam,
@@ -33,6 +33,7 @@ from .params import (
 )
 from .rootsys import (
     act,
+    fund_to_root,
     in_root_lattice,
     norm_sq,
     root_to_fund,
@@ -278,7 +279,9 @@ def _assemble(mp: ModelParams, terms, n: int, anchor_scaled: int | None = None) 
     offsets = []
     for s, m in terms:
         d = s - anchor_scaled
-        assert d % den == 0, "exponents off the common integer grid"
+        if d % den:
+            raise RuntimeError(f"exponent {s}/{den} is off the common integer grid "
+                               f"of {anchor_scaled}/{den}")
         offsets.append((d // den, m))
     lo = min(off for off, _ in offsets)
     width = n - lo
@@ -323,7 +326,8 @@ def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int,
     for w in weyl_enumerate(rs, weyl_cap):
         e = affine_exponent(mp, w, alpha, lam)
         scaled = e * den
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise RuntimeError(f"affine exponent {e} is off the grid 1/{den}")
         terms.append((scaled.numerator, w.sign))
     return _assemble(mp, terms, n)
 
@@ -343,15 +347,8 @@ def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):
     t_star = anchor + n  # top of the window, with the eta offset removed
     two_p_t = max(2 * p * t_star, Fraction(0))
     cap = (sqrt_upper(u_sq) + sqrt_upper(two_p_t)) / p
-    cap_sq = cap * cap
-    maxima = []
-    for i in range(rs.rank):
-        cii = rs.inv_cartan[i][i]
-        maxima.append(sqrt_floor(cap_sq / cii) if cap_sq > 0 else 0)
     lam0 = lam.lambda0
-    if any(m < l0 + 1 for m, l0 in zip(maxima, lam0)):
-        return
-    for v in _boxes(maxima, lam0):
+    for v in _boxes(rs.inv_cartan, cap * cap, tuple(l0 + 1 for l0 in lam0)):
         alpha = tuple(c - l0 - 1 for c, l0 in zip(v, lam0))
         if not in_root_lattice(rs, alpha):
             continue
@@ -363,17 +360,9 @@ def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):
         yield alpha
 
 
-def _boxes(maxima, lam0):
-    """Integer vectors v with lam0_i + 1 <= v_i <= maxima[i]."""
-    ranges = [range(l0 + 1, m + 1) for l0, m in zip(lam0, maxima)]
-    def rec(i):
-        if i == len(ranges):
-            yield ()
-            return
-        for head in ranges[i]:
-            for tail in rec(i + 1):
-                yield (head,) + tail
-    return rec(0)
+def _boxes(gram, bound, lower):
+    # kept by name: bench/tracing.py counts the candidates scanned here
+    return lattice_points(gram, (0,) * len(lower), bound, lower)
 
 
 def lambda_x_vec(mp: ModelParams, lam: LambdaParam) -> IntVec:
@@ -399,7 +388,8 @@ def module_char(mp: ModelParams, lam: LambdaParam, n: int,
 
 def lattice_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     """Graded dimensions of the lattice module of lambda: Fock characters
-    summed over the sqrt(p) Q translates, truncated by the same bound."""
+    summed over exactly those sqrt(p) Q translates whose leading exponent
+    lies in the window."""
     _check_p(mp, lam.p)
     rs = mp.rs
     p = mp.p
@@ -408,31 +398,19 @@ def lattice_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     center = tuple(c - (p - 1) for c in x_lam)  # x_lambda - (p-1) rho
     anchor_scaled = _scaled_norm(rs, center)
     top_scaled = anchor_scaled + n * den
-    center_sq = Fraction(anchor_scaled, rs.det)
-    radius_sq = Fraction(max(top_scaled, 0), rs.det)  # det * |.|^2 <= top
-    # |beta| <= (|center| + radius)/p, and |r_i| <= |beta| sqrt(c^ii)
-    bound = (sqrt_upper(center_sq) + sqrt_upper(radius_sq)) / p
+    # x = center - p C r = -p C (r - c) with c = C^-1 center / p, so
+    # det |x|^2 <= top is (r - c)^T C (r - c) <= top / (p^2 det)
+    c = tuple(x / p for x in fund_to_root(rs, center))
     terms = []
-    maxima = [sqrt_floor(bound * bound * rs.inv_cartan[i][i])
-              for i in range(rs.rank)]
-    for r in _signed_boxes(maxima):
-        beta_f = root_to_fund(rs, r)
-        x = tuple(c - p * b for c, b in zip(center, beta_f))
-        s = _scaled_norm(rs, x)
-        if s <= top_scaled:
-            terms.append((s, 1))
+    for r in _signed_boxes(rs.cartan, c, Fraction(top_scaled, p * p * rs.det)):
+        x = tuple(a - p * b for a, b in zip(center, root_to_fund(rs, r)))
+        terms.append((_scaled_norm(rs, x), 1))
     return _assemble(mp, terms, n, anchor_scaled=anchor_scaled)
 
 
-def _signed_boxes(maxima):
-    def rec(i):
-        if i == len(maxima):
-            yield ()
-            return
-        for head in range(-maxima[i], maxima[i] + 1):
-            for tail in rec(i + 1):
-                yield (head,) + tail
-    return rec(0)
+def _signed_boxes(gram, center, bound):
+    # kept by name: bench/tracing.py counts the lattice points scanned here
+    return lattice_points(gram, center, bound)
 
 
 def to_json_dict(a: QSeries) -> dict:

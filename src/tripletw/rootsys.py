@@ -29,9 +29,9 @@ from ._exact import (
     dot,
     frac_matrix_inverse,
     identity_matrix,
+    lattice_points,
     mat_mul,
     mat_vec,
-    sqrt_floor,
     sqrt_upper,
     vec_add,
     vec_sub,
@@ -294,7 +294,9 @@ def _enumerate(rs: RootSystem) -> tuple[tuple[WeylElement, ...], dict]:
                     nxt.append(e)
         elems.extend(nxt)
         level = nxt
-    assert len(elems) == rs.weyl_order
+    if len(elems) != rs.weyl_order:
+        raise RuntimeError(f"enumerated {len(elems)} Weyl elements of {rs.type}, "
+                           f"expected {rs.weyl_order}")
     out = (tuple(elems), by_matrix)
     _WEYL_CACHE[rs.type] = out
     return out
@@ -425,7 +427,8 @@ def weyl_dim(rs: RootSystem, beta) -> int:
     for r in rs.positive_roots:
         num *= dot(shifted, r)
         den *= sum(r)
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"Weyl dimension of {beta} is not an integer: {num}/{den}")
     return num // den
 
 
@@ -441,27 +444,16 @@ def enum_dominant_in_Q(rs: RootSystem, bound, relative: bool = False) -> tuple[I
     b = Fraction(bound)
     if b < 0:
         raise ValueError("bound must be nonnegative")
-    l = rs.rank
     rho_sq = norm_sq(rs, rs.rho)
     cap = b + (sqrt_upper(rho_sq) if relative else 0)
     cap_sq = cap * cap
-    # box bound: v_i^2 * c^ii <= |v|^2 for v = alpha + rho with v_i >= 1
-    maxima = []
-    for i in range(l):
-        cii = rs.inv_cartan[i][i]
-        maxima.append(max(sqrt_floor(cap_sq / cii), 0))
-    if any(m < 1 for m in maxima):
-        return ()
     found = []
-    for v in _int_boxes(maxima):
+    for v in _int_boxes(rs.inv_cartan, cap_sq):
         vsq = norm_sq(rs, v)
         if relative:
             a = vsq - rho_sq - b * b
-            ok = a <= 0 or a * a <= 4 * b * b * rho_sq
-        else:
-            ok = vsq <= cap_sq
-        if not ok:
-            continue
+            if a > 0 and a * a > 4 * b * b * rho_sq:
+                continue
         alpha = tuple(c - 1 for c in v)
         if in_root_lattice(rs, alpha):
             found.append(alpha)
@@ -469,11 +461,6 @@ def enum_dominant_in_Q(rs: RootSystem, bound, relative: bool = False) -> tuple[I
     return tuple(found)
 
 
-def _int_boxes(maxima):
-    """All integer vectors v with 1 <= v_i <= maxima[i]."""
-    if not maxima:
-        yield ()
-        return
-    for head in range(1, maxima[0] + 1):
-        for tail in _int_boxes(maxima[1:]):
-            yield (head,) + tail
+def _int_boxes(gram, bound):
+    # kept by name: bench/tracing.py counts the weights scanned here
+    return lattice_points(gram, (0,) * len(gram), bound, (1,) * len(gram))

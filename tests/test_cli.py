@@ -144,6 +144,17 @@ def test_cap_exits_4():
     assert "1679616" in r.stderr
 
 
+def test_weyl_cap_does_not_leak_between_in_process_calls(capsys):
+    from tripletw import rootsys
+    from tripletw.cli import main
+
+    default = rootsys.DEFAULT_WEYL_CAP
+    assert main(["char", "w", "--type", "A1", "-p", "2", "--weyl-cap", "1"]) == 4
+    assert rootsys.DEFAULT_WEYL_CAP == default
+    assert main(["char", "w", "--type", "A2", "-p", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_lambda_list_counts():
     r = run_cli("lambda-list", "--type", "A1", "-p", "2")
     assert json.loads(r.stdout)["count"] == 4

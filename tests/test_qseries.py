@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,7 @@ from tripletw import (
     weyl_dim,
 )
 from tripletw.params import lambda_params, narrow
-from tripletw.qseries import colored_partitions
+from tripletw.qseries import _assemble, colored_partitions
 
 
 def test_qseries_normalization():
@@ -277,3 +279,74 @@ def test_to_json_dict():
         "coeffs": [1, 0, 2],
         "order": 2,
     }
+
+
+def test_assemble_rejects_off_grid_exponents(a2):
+    mp = build_model(a2, 3)
+    den = 2 * mp.p * a2.det
+    with pytest.raises(RuntimeError, match="off the common integer grid"):
+        _assemble(mp, [(0, 1), (den + 1, 1)], 5)
+
+
+def _wide_lattice_window(mp, lam, n):
+    """The lattice character through anchor + n from a plain scan of an
+    origin-centred box twice the truncation radius, with every
+    scaled norm det |.|^2: |beta| <= (sqrt(anchor) + sqrt(top)) / (p sqrt(det))
+    and |r_i| <= |beta| sqrt(c^ii).  Returns (leading offset, coefficients)."""
+    rs, p = mp.rs, mp.p
+    center = tuple(-p * a + s - (p - 1) for a, s in zip(lam.lambda0, lam.sp))
+    den = 2 * p * rs.det
+    anchor = sum(center[i] * rs.adj[i][j] * center[j]
+                 for i in range(rs.rank) for j in range(rs.rank))
+    top = anchor + n * den
+    # (sqrt(anchor) + sqrt(top))^2 / (p^2 det) bounds |beta|^2 from above
+    beta_sq = Fraction((math.isqrt(anchor) + math.isqrt(top) + 2) ** 2, rs.det * p * p)
+    maxima = [2 * (math.isqrt(math.ceil(beta_sq * rs.inv_cartan[i][i])) + 1)
+              for i in range(rs.rank)]
+    ranks = range(rs.rank)
+    offsets = []
+    for r in itertools.product(*(range(-m, m + 1) for m in maxima)):
+        x = [c - p * sum(rs.cartan[i][j] * r[j] for j in ranks)
+             for i, c in enumerate(center)]
+        s = sum(x[i] * sum(rs.adj[i][j] * x[j] for j in ranks) for i in ranks)
+        assert (s - anchor) % den == 0
+        offsets.append((s - anchor) // den)
+    lo = min(offsets)
+    eta = oracles.colored_partitions(rs.rank, n - lo)
+    coeffs = [sum(eta[k - (o - lo)] for o in offsets if o - lo <= k)
+              for k in range(n - lo + 1)]
+    return lo, coeffs
+
+
+CERTIFICATE_CASES = (
+    [("A1", p, (lam0,), (sp,), 12) for p in (2, 3, 5) for lam0 in (0, 1) for sp in range(p)]
+    + [("A2", 3, (0, 0), (1, 2), 12), ("A2", 3, (1, 0), (0, 0), 12),
+       ("A2", 4, (0, 1), (3, 1), 12),
+       ("A3", 4, (0, 0, 0), (0, 0, 0), 6), ("A3", 4, (0, 1, 0), (2, 0, 3), 6),
+       ("D4", 6, (0, 0, 0, 0), (5, 5, 5, 5), 6), ("D4", 6, (0, 0, 0, 0), (4, 5, 3, 5), 6),
+       ("D4", 6, (1, 0, 0, 0), (5, 5, 5, 5), 3)]
+)
+
+
+@pytest.mark.parametrize("t,p,lam0,sp,n", CERTIFICATE_CASES)
+def test_lattice_char_truncation_certificate(t, p, lam0, sp, n):
+    """Scanning twice the truncation radius changes no coefficient of the
+    window; the window is a prefix of a longer one and dominates the module."""
+    rs = build_root_system(t)
+    mp = build_model(rs, p)
+    lam = LambdaParam(lam0, sp, p)
+    ch = lattice_char(mp, lam, n)
+    lo, coeffs = _wide_lattice_window(mp, lam, n)
+    anchor = delta_lambda(mp, lam) - central_charge(mp) / 24
+    assert ch.base == anchor + lo
+    assert ch.coeffs == tuple(coeffs)
+
+    longer = lattice_char(mp, lam, n + 3)
+    assert longer.base == ch.base
+    assert longer.coeffs[: ch.order + 1] == ch.coeffs
+
+    mc = module_char(mp, lam, n)
+    d = mc.base - ch.base
+    assert d.denominator == 1 and d >= 0
+    for j, c in enumerate(mc.coeffs[: ch.order + 1 - int(d)]):
+        assert 0 <= c <= ch.coeffs[j + int(d)]
