@@ -16,12 +16,11 @@ from ._exact import IntVec, dot, mat_vec
 from .params import (
     LambdaParam,
     ModelParams,
-    NarrowViolation,
     _check_p,
     _digits,
+    _int_vec,
     lambda0_rep,
-    narrow,
-    narrow_margin,
+    require_narrow,
 )
 from .rootsys import (
     RootSystem,
@@ -50,11 +49,10 @@ class AffineWeylElement:
     beta: IntVec       # translation part, simple-root coordinates
 
 
-def aff_mul(rs: RootSystem, y1: AffineWeylElement, y2: AffineWeylElement,
-            cap: int | None = None) -> AffineWeylElement:
+def aff_mul(rs: RootSystem, y1: AffineWeylElement, y2: AffineWeylElement) -> AffineWeylElement:
     """(sigma1 t_b1)(sigma2 t_b2) = (sigma1 sigma2) t_{sigma2^{-1} b1 + b2}."""
-    sigma = weyl_compose(rs, y1.sigma, y2.sigma, cap)
-    inv2 = root_action(rs, weyl_inverse(rs, y2.sigma, cap))
+    sigma = weyl_compose(rs, y1.sigma, y2.sigma)
+    inv2 = root_action(rs, weyl_inverse(rs, y2.sigma))
     beta = tuple(a + b for a, b in zip(mat_vec(inv2, y1.beta), y2.beta))
     return AffineWeylElement(sigma=sigma, beta=beta)
 
@@ -100,7 +98,7 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
     rs = mp.rs
     _check_p(mp, lam.p)
     p = mp.p
-    beta_f = root_to_fund(rs, _int_tuple(beta, rs.rank))
+    beta_f = root_to_fund(rs, _int_vec(beta, rs.rank))
     inner = tuple(
         p * (b - (a + l0 + 1)) + s + 1
         for b, a, l0, s in zip(beta_f, alpha, lam.lambda0, lam.sp, strict=True)
@@ -111,12 +109,6 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
         if v < 0 or v > p:
             return False
     return True
-
-
-def _int_tuple(x, rank: int) -> IntVec:
-    if len(x) != rank:
-        raise ValueError("dimension mismatch")
-    return tuple(int(c) for c in x)
 
 
 _CHAMBER_CACHE: dict = {}
@@ -133,8 +125,8 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
     simple-root coordinates.
     """
     rs = mp.rs
-    alpha = _int_tuple(alpha, rs.rank)
-    lambda0 = _int_tuple(lambda0, rs.rank)
+    alpha = _int_vec(alpha, rs.rank)
+    lambda0 = _int_vec(lambda0, rs.rank)
     key = (rs.type, lambda0)
     got = _CHAMBER_CACHE.get(key)
     if got is None:
@@ -146,7 +138,8 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
             ok = True
             for g in rs.positive_roots:
                 pair = dot(g, omega)
-                assert pair in (0, 1)
+                if pair not in (0, 1):
+                    raise RuntimeError(f"class representative {omega} is not minuscule")
                 positive = all(c >= 0 for c in mat_vec(rw, g))
                 if positive != (pair == 0):
                     ok = False
@@ -179,9 +172,7 @@ def y_sigma(mp: ModelParams, sigma: WeylElement, alpha, lambda0) -> AffineWeylEl
     sigma_c is the chamber element of lambda0; returned in normal form
     (w, beta) with w t_beta = t_gamma w, beta = w^{-1}(gamma) in Q."""
     rs = mp.rs
-    alpha = _int_tuple(alpha, rs.rank)
-    lambda0 = _int_tuple(lambda0, rs.rank)
-    omega, sigma_c, _ = lemma310_construct(mp, alpha, lambda0)
+    omega, sigma_c, _ = lemma310_construct(mp, alpha, lambda0)  # validates alpha, lambda0
     gamma = tuple(
         so - (a + l0 + 1)
         for so, a, l0 in zip(act(sigma, omega), alpha, lambda0, strict=True)
@@ -225,11 +216,7 @@ def affine_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     length.
     """
     rs = mp.rs
-    if not narrow(mp, lam.sp):
-        raise NarrowViolation(
-            f"(sqrt(p) lambda_p + rho, theta) = {narrow_margin(mp, lam.sp) + mp.p} "
-            f"> p = {mp.p}"
-        )
+    require_narrow(mp, lam.sp)
     y = y_sigma(mp, weyl_inverse(rs, sigma), alpha, lam.lambda0)
     out = aff_circ(mp, y, mu_lambda(mp, lam))
     shifted = tuple(c + 1 for c in out.classical)
@@ -244,7 +231,7 @@ def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     u = s + rho."""
     rs = mp.rs
     _check_p(mp, lam.p)
-    alpha = _int_tuple(alpha, rs.rank)
+    alpha = _int_vec(alpha, rs.rank)
     v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
     u = tuple(s + 1 for s in lam.sp)
     moved = tuple(mp.p * c - b for c, b in zip(act(sigma, v), u))

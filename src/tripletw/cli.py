@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 precondition violation (non-narrow parameter, alpha outside the dominant
-root-lattice cone), 4 enumeration cap exceeded.  Output is deterministic byte
-for byte for fixed inputs and format.
+root-lattice cone), 4 enumeration cap exceeded, 5 internal error (traceback on
+stderr).  Output is deterministic byte for byte for fixed inputs and format.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 
-from . import rootsys
 from .params import (
     LambdaParam,
-    NarrowViolation,
+    PreconditionError,
     build_model,
+    check_lambda_cap,
     delta_lambda,
     dual_module_param,
     dual_param,
@@ -26,8 +26,8 @@ from .params import (
     pq_class,
 )
 from .qseries import lattice_char, module_char, to_json_dict, w_char, w_char_affine
-from .rootsys import CapExceeded, build_root_system, cartan_type
-from .verify import LAMBDA_CAP, CHECK_NAMES, GridSpec, all_passed, run_all, run_check
+from .rootsys import WEYL_CAP, CapExceeded, build_root_system, cartan_type
+from .verify import CHECK_NAMES, GridSpec, all_passed, run_all, run_check
 
 
 def _fail(msg: str) -> int:
@@ -131,9 +131,7 @@ def cmd_lambda_list(args) -> int:
     rs = _parse_type(args.type)
     if args.p < 2:
         raise _ArgError(f"p must be >= 2, got {args.p}")
-    count = rs.det * args.p ** rs.rank
-    if count > LAMBDA_CAP:
-        raise CapExceeded(required=count, cap=LAMBDA_CAP)
+    check_lambda_cap(rs, args.p)
     mp = build_model(rs, args.p)
     rows = []
     for lam in lambda_params(mp):
@@ -219,21 +217,14 @@ def cmd_char(args) -> int:
     if args.kind in ("module", "lattice") and alpha != zero:
         raise _ArgError(f"--alpha must be zero for kind {args.kind!r}")
     lam = LambdaParam(lambda0=lam0, sp=sp, p=mp.p)
-    try:
-        if args.kind == "w":
-            ch = w_char(mp, alpha, lam, args.order, weyl_cap=args.weyl_cap)
-        elif args.kind == "w-affine":
-            ch = w_char_affine(mp, alpha, lam, args.order, weyl_cap=args.weyl_cap)
-        elif args.kind == "module":
-            ch = module_char(mp, lam, args.order, weyl_cap=args.weyl_cap)
-        else:
-            ch = lattice_char(mp, lam, args.order)
-    except NarrowViolation:
-        raise
-    except ValueError as exc:
-        # alpha fails the dominant/root-lattice precondition
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if args.kind == "w":
+        ch = w_char(mp, alpha, lam, args.order)
+    elif args.kind == "w-affine":
+        ch = w_char_affine(mp, alpha, lam, args.order)
+    elif args.kind == "module":
+        ch = module_char(mp, lam, args.order)
+    else:
+        ch = lattice_char(mp, lam, args.order)
     _emit_series(ch, args.output)
     return 0
 
@@ -266,8 +257,6 @@ def cmd_verify(args) -> int:
             raise _ArgError(f"order must be >= 0, got {args.order}")
         kw["order"] = args.order
         kw["cross_order"] = min(args.order, 20)
-    if args.weyl_cap is not None:
-        kw["weyl_cap"] = args.weyl_cap
     try:
         grid = GridSpec(**kw)
     except ValueError as exc:
@@ -360,24 +349,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code is decided here and only here."""
     args = _parser().parse_args(argv)
-    saved_cap = rootsys.DEFAULT_WEYL_CAP
-    if getattr(args, "weyl_cap", None) is not None:
-        # propagate to call sites that don't take an explicit cap, for this
-        # call only
-        rootsys.DEFAULT_WEYL_CAP = args.weyl_cap
+    cap = getattr(args, "weyl_cap", None)
+    token = None if cap is None else WEYL_CAP.set(cap)
     try:
         return args.func(args)
     except _ArgError as exc:
         return _fail(str(exc))
-    except NarrowViolation as exc:
-        print(f"error: not narrow: {exc}", file=sys.stderr)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
+        return 5
     finally:
-        rootsys.DEFAULT_WEYL_CAP = saved_cap
+        if token is not None:
+            WEYL_CAP.reset(token)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from itertools import product
 
 from ._exact import IntVec, dot, mat_vec
 from .rootsys import (
+    CapExceeded,
     RootSystem,
     WeylElement,
     circ_act,
@@ -28,9 +29,18 @@ from .rootsys import (
 )
 
 
-class NarrowViolation(ValueError):
+class PreconditionError(ValueError):
+    """A caller's value lies outside the domain of the operation asked for
+    (the CLI's exit 3)."""
+
+
+class NarrowViolation(PreconditionError):
     """Raised when an operation defined only under the narrow condition
     (sqrt(p) lambda_p + rho, theta) <= p is applied outside it."""
+
+
+# The most Lambda parameters (|P/Q| p^l) an enumeration agrees to list.
+LAMBDA_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -123,9 +133,8 @@ def lambda0_set(rs: RootSystem) -> tuple[IntVec, ...]:
     out = [(0,) * l]
     for i in idx:
         out.append(tuple(1 if j == i - 1 else 0 for j in range(l)))
-    assert len(out) == rs.det
-    for w in out[1:]:
-        assert dot(w, rs.theta_root) == 1
+    if len(out) != rs.det or any(dot(w, rs.theta_root) != 1 for w in out[1:]):
+        raise RuntimeError(f"{out} are not |P/Q| = {rs.det} minuscule-or-zero weights")
     return tuple(out)
 
 
@@ -144,7 +153,8 @@ def lambda0_rep(rs: RootSystem, x) -> IntVec:
     table = _CLASS_CACHE.get(rs.type)
     if table is None:
         table = {pq_class(rs, w): w for w in lambda0_set(rs)}
-        assert len(table) == rs.det
+        if len(table) != rs.det:
+            raise RuntimeError(f"class representatives of {rs.type} share a class")
         _CLASS_CACHE[rs.type] = table
     return table[pq_class(rs, x)]
 
@@ -207,6 +217,15 @@ def narrow_margin(mp: ModelParams, sp) -> int:
     return dot(tuple(s + 1 for s in sp), mp.rs.theta_root) - mp.p
 
 
+def require_narrow(mp: ModelParams, sp):
+    """Raise NarrowViolation unless the digits sp are narrow."""
+    if not narrow(mp, sp):
+        raise NarrowViolation(
+            f"not narrow: (sqrt(p) lambda_p + rho, theta) = "
+            f"{narrow_margin(mp, sp) + mp.p} > p = {mp.p}"
+        )
+
+
 def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
     """Vanishing of the epsilon pairings along a reduced word of w0.
 
@@ -230,6 +249,13 @@ def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
         if eps[nxt - 1] != 0:
             return False
     return True
+
+
+def check_lambda_cap(rs: RootSystem, p: int):
+    """Raise CapExceeded when |P/Q| p^l exceeds LAMBDA_CAP."""
+    count = rs.det * p ** rs.rank
+    if count > LAMBDA_CAP:
+        raise CapExceeded(required=count, cap=LAMBDA_CAP)
 
 
 def lambda_params(mp: ModelParams) -> tuple[LambdaParam, ...]:
@@ -273,7 +299,8 @@ def dual_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:
     rs = mp.rs
     lam0 = minus_w0(rs, lam.lambda0)
     sp = minus_w0(rs, lam.sp)
-    assert all(0 <= s <= mp.p - 1 for s in sp)
+    if any(not 0 <= s <= mp.p - 1 for s in sp):
+        raise RuntimeError(f"-w0 sent the digits {lam.sp} to {sp}, out of range")
     return LambdaParam(lambda0=lam0, sp=sp, p=mp.p)
 
 

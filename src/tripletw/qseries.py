@@ -24,12 +24,11 @@ from .affine import affine_exponent
 from .params import (
     LambdaParam,
     ModelParams,
-    NarrowViolation,
+    PreconditionError,
     ScaledWeight,
     _check_p,
     _int_vec,
-    narrow,
-    narrow_margin,
+    require_narrow,
 )
 from .rootsys import (
     act,
@@ -93,7 +92,8 @@ def _coeff_at(a: QSeries, n: int) -> int:
     # offset n relative to a.base; callers never ask above the window
     if n < 0:
         return 0
-    assert n <= a.order
+    if n > a.order:
+        raise RuntimeError(f"offset {n} is above the window of order {a.order}")
     return a.coeffs[n]
 
 
@@ -246,20 +246,20 @@ def fock_char(mp: ModelParams, mu: ScaledWeight, n: int) -> QSeries:
 def _require_alpha(rs, alpha) -> IntVec:
     a = _int_vec(alpha, rs.rank)
     if any(c < 0 for c in a):
-        raise ValueError(f"alpha {alpha} is not dominant")
+        raise PreconditionError(f"alpha {alpha} is not dominant")
     if not in_root_lattice(rs, a):
-        raise ValueError(f"alpha {alpha} is not in the root lattice")
+        raise PreconditionError(f"alpha {alpha} is not in the root lattice")
     return a
 
 
-def _w_terms(mp: ModelParams, alpha, lam: LambdaParam, weyl_cap) -> list[tuple[int, int]]:
+def _w_terms(mp: ModelParams, alpha, lam: LambdaParam) -> list[tuple[int, int]]:
     """Signed Weyl orbit exponents for one (alpha, lambda), scaled by 2 p det."""
     rs = mp.rs
     p = mp.p
     v = tuple(int(a) + l0 + 1 for a, l0 in zip(alpha, lam.lambda0, strict=True))
     u = tuple(s + 1 for s in lam.sp)
     out = []
-    for w in weyl_enumerate(rs, weyl_cap):
+    for w in weyl_enumerate(rs):
         moved = tuple(p * c - b for c, b in zip(act(w, v), u))
         out.append((_scaled_norm(rs, moved), w.sign))
     return out
@@ -299,31 +299,25 @@ def _assemble(mp: ModelParams, terms, n: int, anchor_scaled: int | None = None) 
     return qseries(base, out)
 
 
-def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int,
-           weyl_cap: int | None = None) -> QSeries:
+def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     """Signed Weyl sum character of the pair (alpha, lambda), direct form:
     sum over sigma of (-1)^l(sigma) q^(|p sigma(v) - u|^2 / 2p) over eta^l,
     with v = alpha + lambda0 + rho and u = s + rho."""
     _check_p(mp, lam.p)
     alpha = _require_alpha(mp.rs, alpha)
-    return _assemble(mp, _w_terms(mp, alpha, lam, weyl_cap), n)
+    return _assemble(mp, _w_terms(mp, alpha, lam), n)
 
 
-def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int,
-                  weyl_cap: int | None = None) -> QSeries:
+def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     """The same character assembled from affine-orbit exponents; defined for
     narrow lambda and equal to w_char term by term."""
     _check_p(mp, lam.p)
     alpha = _require_alpha(mp.rs, alpha)
-    if not narrow(mp, lam.sp):
-        raise NarrowViolation(
-            f"(sqrt(p) lambda_p + rho, theta) = {narrow_margin(mp, lam.sp) + mp.p} "
-            f"> p = {mp.p}"
-        )
+    require_narrow(mp, lam.sp)
     rs = mp.rs
     den = 2 * mp.p * rs.det
     terms = []
-    for w in weyl_enumerate(rs, weyl_cap):
+    for w in weyl_enumerate(rs):
         e = affine_exponent(mp, w, alpha, lam)
         scaled = e * den
         if scaled.denominator != 1:
@@ -369,8 +363,7 @@ def lambda_x_vec(mp: ModelParams, lam: LambdaParam) -> IntVec:
     return tuple(-mp.p * a + s for a, s in zip(lam.lambda0, lam.sp))
 
 
-def module_char(mp: ModelParams, lam: LambdaParam, n: int,
-                weyl_cap: int | None = None) -> QSeries:
+def module_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     """Graded dimensions of the full module of lambda: the sum over dominant
     alpha in Q of dim L(alpha + lambda0) times the (alpha, lambda) Weyl sum,
     truncated by the certified exponent bound."""
@@ -381,7 +374,7 @@ def module_char(mp: ModelParams, lam: LambdaParam, n: int,
     for alpha in _alpha_candidates(mp, lam, n):
         dim = weyl_dim(rs, tuple(a + l0 for a, l0 in zip(alpha, lam.lambda0)))
         terms.extend(
-            (s, dim * sign) for s, sign in _w_terms(mp, alpha, lam, weyl_cap)
+            (s, dim * sign) for s, sign in _w_terms(mp, alpha, lam)
         )
     return _assemble(mp, terms, n, anchor_scaled=anchor_scaled)
 

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -37,7 +38,8 @@ from ._exact import (
     vec_sub,
 )
 
-DEFAULT_WEYL_CAP = 1_000_000
+# The largest Weyl group `_enumerate` lists; set it per scope and reset the token.
+WEYL_CAP: ContextVar[int] = ContextVar("WEYL_CAP", default=1_000_000)
 
 
 class CapExceeded(RuntimeError):
@@ -193,9 +195,9 @@ def build_root_system(t) -> RootSystem:
     adj = tuple(tuple(int(x * det) for x in row) for row in inv)
     pos = _positive_roots(cartan)
     theta_root = pos[-1]
-    # the highest root strictly dominates every other positive root
-    assert all(r == theta_root or all(a <= b for a, b in zip(r, theta_root))
-               for r in pos)
+    if not all(r == theta_root or all(a <= b for a, b in zip(r, theta_root))
+               for r in pos):
+        raise RuntimeError(f"the last positive root of {ct} is not the highest root")
     theta = mat_vec(cartan, theta_root)
     l = ct.rank
     rho = (1,) * l
@@ -274,7 +276,11 @@ def _enumerate(rs: RootSystem) -> tuple[tuple[WeylElement, ...], dict]:
     lex-minimal word and taking the first discovery yields the lex-minimal
     word of every element: any smaller word would have a smaller prefix,
     and prefixes of reduced words are reduced words of their own elements.
+    Refuses (CapExceeded) a group larger than WEYL_CAP, cached or not.
     """
+    cap = WEYL_CAP.get()
+    if rs.weyl_order > cap:
+        raise CapExceeded(required=rs.weyl_order, cap=cap)
     if rs.type in _WEYL_CACHE:
         return _WEYL_CACHE[rs.type]
     cartan = rs.cartan
@@ -302,23 +308,16 @@ def _enumerate(rs: RootSystem) -> tuple[tuple[WeylElement, ...], dict]:
     return out
 
 
-def weyl_enumerate(rs: RootSystem, cap: int | None = None) -> tuple[WeylElement, ...]:
+def weyl_enumerate(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, sorted by length then word, canonical words.
 
-    Refuses up front when the group order exceeds the cap (default one
-    million); the exception carries the cap that would be required.
+    Raises CapExceeded when the group order exceeds WEYL_CAP.
     """
-    limit = DEFAULT_WEYL_CAP if cap is None else cap
-    if rs.weyl_order > limit:
-        raise CapExceeded(required=rs.weyl_order, cap=limit)
     return _enumerate(rs)[0]
 
 
-def weyl_by_matrix(rs: RootSystem, matrix: IntMat, cap: int | None = None) -> WeylElement:
+def weyl_by_matrix(rs: RootSystem, matrix: IntMat) -> WeylElement:
     """The canonical element with the given action matrix."""
-    limit = DEFAULT_WEYL_CAP if cap is None else cap
-    if rs.weyl_order > limit:
-        raise CapExceeded(required=rs.weyl_order, cap=limit)
     by_matrix = _enumerate(rs)[1]
     try:
         return by_matrix[matrix]
@@ -329,12 +328,11 @@ def weyl_by_matrix(rs: RootSystem, matrix: IntMat, cap: int | None = None) -> We
 _COMPOSE_CACHE: dict = {}
 
 
-def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement,
-                 cap: int | None = None) -> WeylElement:
+def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement) -> WeylElement:
     key = (rs.type, u.word, v.word)
     got = _COMPOSE_CACHE.get(key)
     if got is None:
-        got = weyl_by_matrix(rs, mat_mul(u.matrix, v.matrix), cap)
+        got = weyl_by_matrix(rs, mat_mul(u.matrix, v.matrix))
         _COMPOSE_CACHE[key] = got
     return got
 
@@ -342,19 +340,19 @@ def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement,
 _INV_CACHE: dict = {}
 
 
-def weyl_inverse(rs: RootSystem, w: WeylElement, cap: int | None = None) -> WeylElement:
+def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
     key = (rs.type, w.word)
     got = _INV_CACHE.get(key)
     if got is None:
-        got = weyl_by_matrix(rs, weyl_matrix(rs.cartan, tuple(reversed(w.word))), cap)
+        got = weyl_by_matrix(rs, weyl_matrix(rs.cartan, tuple(reversed(w.word))))
         _INV_CACHE[key] = got
     return got
 
 
-def longest_element(rs: RootSystem, cap: int | None = None) -> WeylElement:
-    elems = weyl_enumerate(rs, cap)
-    w0 = elems[-1]
-    assert w0.length == len(rs.positive_roots)
+def longest_element(rs: RootSystem) -> WeylElement:
+    w0 = weyl_enumerate(rs)[-1]
+    if w0.length != len(rs.positive_roots):
+        raise RuntimeError(f"the last Weyl element of {rs.type} is not the longest")
     return w0
 
 
@@ -368,7 +366,8 @@ def root_action(rs: RootSystem, w: WeylElement) -> IntMat:
     if got is not None:
         return got
     raw = mat_mul(rs.adj, mat_mul(w.matrix, rs.cartan))
-    assert all(x % rs.det == 0 for row in raw for x in row)
+    if any(x % rs.det for row in raw for x in row):
+        raise RuntimeError(f"root action of {w.word} is not integral")
     m = tuple(tuple(x // rs.det for x in row) for row in raw)
     _ROOT_ACTION_CACHE[key] = m
     return m

@@ -28,10 +28,12 @@ from .affine import (
     lemma310_construct,
 )
 from .params import (
+    LAMBDA_CAP,  # noqa: F401  (re-exported)
     build_model,
     canonical_lambda,
     central_charge,
     central_charge_coxeter_form,
+    check_lambda_cap,
     delta_lambda,
     dual_param,
     epsilon,
@@ -70,7 +72,6 @@ class GridSpec:
     order: int = 30
     cross_order: int = 20
     alpha_margin: int = 3
-    weyl_cap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -109,18 +110,13 @@ def _ps(grid: GridSpec, rs) -> tuple:
     return tuple(sorted({max(int(p), 2) for p in raw}))
 
 
-LAMBDA_CAP = 1_000_000
-
-
 def _models(grid: GridSpec, max_rank: int | None = None):
     for t in grid.types:
         rs = build_root_system(t)
         if max_rank is not None and rs.rank > max_rank:
             continue
         for p in _ps(grid, rs):
-            count = rs.det * p ** rs.rank
-            if count > LAMBDA_CAP:
-                raise CapExceeded(required=count, cap=LAMBDA_CAP)
+            check_lambda_cap(rs, p)
             yield build_model(rs, p)
 
 
@@ -175,7 +171,7 @@ def _check_lemma215_strict(grid: GridSpec):
     ces = []
     for mp in _models(grid):
         rs = mp.rs
-        w0 = longest_element(rs, grid.weyl_cap)
+        w0 = longest_element(rs)
         target = (-1,) * rs.rank
         for sp in _digit_vectors(mp):
             if narrow_margin(mp, sp) >= 0:
@@ -193,7 +189,7 @@ def _check_lemma215_boundary(grid: GridSpec):
     rows = []
     for mp in _models(grid):
         rs = mp.rs
-        w0 = longest_element(rs, grid.weyl_cap)
+        w0 = longest_element(rs)
         target = (-1,) * rs.rank
         for sp in _digit_vectors(mp):
             if narrow_margin(mp, sp) != 0:
@@ -212,7 +208,7 @@ def _check_lemma216_equiv(grid: GridSpec):
     ces = []
     for mp in _models(grid):
         rs = mp.rs
-        word = longest_element(rs, grid.weyl_cap).word
+        word = longest_element(rs).word
         for sp in _digit_vectors(mp):
             c1 = lemma216_cond1(mp, sp, word)
             c2 = narrow(mp, sp)
@@ -255,7 +251,7 @@ def _check_lemma310_bruteforce(grid: GridSpec):
     ces = []
     for mp in _require_models(grid, max_rank=2):
         rs = mp.rs
-        elems = weyl_enumerate(rs, grid.weyl_cap)
+        elems = weyl_enumerate(rs)
         alphas = enum_dominant_in_Q(rs, grid.alpha_margin, relative=True)
         for lam in lambda_params(mp):
             is_narrow = narrow(mp, lam.sp)
@@ -295,7 +291,7 @@ def _check_exponent_identity(grid: GridSpec):
     ces = []
     for mp in _models(grid):
         rs = mp.rs
-        elems = weyl_enumerate(rs, grid.weyl_cap)
+        elems = weyl_enumerate(rs)
         alphas = enum_dominant_in_Q(rs, grid.alpha_margin, relative=True)
         for lam in lambda_params(mp):
             if not narrow(mp, lam.sp):
@@ -323,7 +319,7 @@ def _check_char_nonneg_leading1(grid: GridSpec):
             if not narrow(mp, lam.sp):
                 continue
             for alpha in alphas:
-                ch = w_char(mp, alpha, lam, grid.order, weyl_cap=grid.weyl_cap)
+                ch = w_char(mp, alpha, lam, grid.order)
                 if ch.coeffs[0] != 1:
                     ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
                                     sp=lam.sp, alpha=alpha,
@@ -346,7 +342,7 @@ def _check_submodule_bound(grid: GridSpec):
     for mp in _models(grid):
         rs = mp.rs
         for lam in lambda_params(mp):
-            mc = module_char(mp, lam, n, weyl_cap=grid.weyl_cap)
+            mc = module_char(mp, lam, n)
             lc = lattice_char(mp, lam, n)
             shift = mc.base - lc.base
             if shift.denominator != 1 or shift < 0:
@@ -376,8 +372,8 @@ def _check_duality_chars(grid: GridSpec):
             if not narrow(mp, lam.sp):
                 continue
             dual = dual_param(mp, lam)
-            a = module_char(mp, lam, n, weyl_cap=grid.weyl_cap)
-            b = module_char(mp, dual, n, weyl_cap=grid.weyl_cap)
+            a = module_char(mp, lam, n)
+            b = module_char(mp, dual, n)
             if not qs_eq(a, b, n):
                 ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
                                 sp=lam.sp, dual_lambda0=dual.lambda0,

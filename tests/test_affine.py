@@ -175,6 +175,18 @@ def test_affine_exponent_requires_narrow(a2):
     assert "> p = 2" in str(ei.value)
 
 
+def test_exponents_reject_non_integral_alpha(a1):
+    mp = build_model(a1, 3)
+    lam = LambdaParam((0,), (0,), 3)
+    ident = weyl_enumerate(a1)[0]
+    with pytest.raises(ValueError, match="non-integral coordinate"):
+        direct_exponent(mp, ident, (Fraction(1, 2),), lam)
+    with pytest.raises(ValueError, match="non-integral coordinate"):
+        affine_exponent(mp, ident, (Fraction(1, 2),), lam)
+    assert direct_exponent(mp, ident, (Fraction(2, 1),), lam) == \
+        direct_exponent(mp, ident, (2,), lam)
+
+
 def test_lemma39_examples(a1, a2):
     mp = build_model(a1, 2)
     lam = LambdaParam((0,), (0,), 2)

@@ -145,14 +145,65 @@ def test_cap_exits_4():
 
 
 def test_weyl_cap_does_not_leak_between_in_process_calls(capsys):
-    from tripletw import rootsys
+    from tripletw import WEYL_CAP
     from tripletw.cli import main
 
-    default = rootsys.DEFAULT_WEYL_CAP
+    default = WEYL_CAP.get()
     assert main(["char", "w", "--type", "A1", "-p", "2", "--weyl-cap", "1"]) == 4
-    assert rootsys.DEFAULT_WEYL_CAP == default
+    assert WEYL_CAP.get() == default
     assert main(["char", "w", "--type", "A2", "-p", "3"]) == 0
     capsys.readouterr()
+
+
+def test_cap_is_reset_after_exit_4_and_5(monkeypatch, capsys):
+    from tripletw import WEYL_CAP, OrderUnderflow
+    from tripletw import cli
+
+    default = WEYL_CAP.get()
+
+    def boom(*args):
+        raise OrderUnderflow("injected", required=1)
+
+    monkeypatch.setattr(cli, "lattice_char", boom)
+    assert cli.main(["char", "lattice", "--type", "A1", "-p", "2",
+                     "--weyl-cap", "7"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "OrderUnderflow: injected" in err
+    assert WEYL_CAP.get() == default
+    assert cli.main(["char", "w", "--type", "A2", "-p", "3", "--weyl-cap", "5"]) == 4
+    assert WEYL_CAP.get() == default
+    capsys.readouterr()
+
+
+def test_library_cap_matches_cli_cap():
+    # a fresh interpreter, so no cached chamber data outlives the cap
+    code = (
+        "import json, tripletw as tw\n"
+        "tw.WEYL_CAP.set(5)\n"
+        "grid = tw.GridSpec(types=('A2',), p_values=(3,), order=6, cross_order=6)\n"
+        "print(json.dumps([(r.check_name, r.status, list(r.info))"
+        " for r in tw.run_all(grid)]))\n"
+    )
+    lib = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert lib.returncode == 0, lib.stderr
+    r = run_cli("verify", "all", "--type", "A2", "-p", "3", "--order", "6",
+                "--weyl-cap", "5")
+    assert r.returncode == 0
+    cli_reports = [[e["check"], e["status"], e["info"]] for e in json.loads(r.stdout)]
+    assert json.loads(lib.stdout) == cli_reports
+    statuses = {c: s for c, s, _ in cli_reports}
+    assert statuses["remark311_iff"] == statuses["delta_selfdual"] == "skipped"
+    assert statuses["lambda_count"] == "pass"
+
+
+def test_optimized_interpreter_gives_the_same_verify_output():
+    # invariants are explicit raises, so python -O still checks them
+    plain = run_cli("verify", "all")
+    optimized = subprocess.run([sys.executable, "-O", "-m", "tripletw", "verify", "all"],
+                               capture_output=True, text=True, timeout=120)
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
 
 
 def test_lambda_list_counts():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from tripletw import (
     LambdaParam,
     NarrowViolation,
     OrderUnderflow,
+    PreconditionError,
     ScaledWeight,
     build_model,
     build_root_system,
@@ -26,14 +28,20 @@ from tripletw import (
     qs_eq,
     qs_mul,
     qs_scale,
-    qseries,
     to_json_dict,
     w_char,
     w_char_affine,
     weyl_dim,
 )
 from tripletw.params import lambda_params, narrow
-from tripletw.qseries import _assemble, colored_partitions
+from tripletw.qseries import _assemble, colored_partitions, qseries
+
+
+def test_qseries_submodule_is_a_module():
+    import tripletw.qseries as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.qseries is qseries
 
 
 def test_qseries_normalization():
@@ -200,9 +208,9 @@ def test_w_char_affine_route_agrees(t, p):
 def test_w_char_alpha_validation(a1):
     mp = build_model(a1, 2)
     lam = LambdaParam((0,), (0,), 2)
-    with pytest.raises(ValueError, match="root lattice"):
+    with pytest.raises(PreconditionError, match="root lattice"):
         w_char(mp, (1,), lam, 5)
-    with pytest.raises(ValueError, match="dominant"):
+    with pytest.raises(PreconditionError, match="dominant"):
         w_char(mp, (-2,), lam, 5)
 
 
@@ -210,8 +218,9 @@ def test_w_char_narrow_guard(a2):
     mp = build_model(a2, 2)
     lam = LambdaParam((0, 0), (1, 1), 2)
     w_char(mp, (0, 0), lam, 5)  # direct route has no narrowness condition
-    with pytest.raises(NarrowViolation):
+    with pytest.raises(NarrowViolation, match="^not narrow: .* > p = 2$"):
         w_char_affine(mp, (0, 0), lam, 5)
+    assert issubclass(NarrowViolation, PreconditionError)
 
 
 def test_lattice_char_a1_p2_vs_triangular_offsets(a1):

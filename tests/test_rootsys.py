@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletw import (
+    WEYL_CAP,
     CapExceeded,
+    LambdaParam,
     act,
+    build_model,
     build_root_system,
     cartan_type,
     circ_act,
@@ -14,6 +17,7 @@ from tripletw import (
     longest_element,
     norm_sq,
     pairing,
+    w_char,
     weyl_dim,
     weyl_enumerate,
 )
@@ -137,13 +141,34 @@ def test_inversion_count_is_length(t):
 
 
 def test_enumeration_cap(d4):
-    with pytest.raises(CapExceeded) as ei:
-        weyl_enumerate(d4, cap=191)
+    token = WEYL_CAP.set(191)
+    try:
+        with pytest.raises(CapExceeded) as ei:
+            weyl_enumerate(d4)
+    finally:
+        WEYL_CAP.reset(token)
     assert ei.value.required == 192
     assert ei.value.cap == 191
     e8 = build_root_system("E8")
     with pytest.raises(CapExceeded):
         weyl_enumerate(e8)  # default cap is one million
+
+
+def test_lower_cap_refuses_an_enumerated_type(a2):
+    mp = build_model(a2, 3)
+    lam = LambdaParam((0, 0), (0, 0), 3)
+    assert len(weyl_enumerate(a2)) == 6
+    w_char(mp, (0, 0), lam, 4)
+    token = WEYL_CAP.set(5)
+    try:
+        for call in (lambda: weyl_enumerate(a2), lambda: longest_element(a2),
+                     lambda: w_char(mp, (0, 0), lam, 4)):
+            with pytest.raises(CapExceeded) as ei:
+                call()
+            assert (ei.value.required, ei.value.cap) == (6, 5)
+    finally:
+        WEYL_CAP.reset(token)
+    assert len(weyl_enumerate(a2)) == 6
 
 
 @pytest.mark.parametrize(
