@@ -14,22 +14,6 @@ IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
 

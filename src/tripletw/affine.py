@@ -158,15 +158,6 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
     return omega, sigma, beta
 
 
-def y_alpha(mp: ModelParams, alpha, lambda0) -> AffineWeylElement:
-    """t_{omega - (alpha + lambda0 + rho)} sigma^{-1} in (sigma, beta) form."""
-    return y_sigma(mp, _identity(mp.rs), alpha, lambda0)
-
-
-def _identity(rs: RootSystem) -> WeylElement:
-    return weyl_enumerate(rs)[0]
-
-
 def y_sigma(mp: ModelParams, sigma: WeylElement, alpha, lambda0) -> AffineWeylElement:
     """t_{sigma(omega) - (alpha + lambda0 + rho)} sigma sigma_c^{-1}, where
     sigma_c is the chamber element of lambda0; returned in normal form

@@ -256,7 +256,6 @@ def cmd_verify(args) -> int:
         if args.order < 0:
             raise _ArgError(f"order must be >= 0, got {args.order}")
         kw["order"] = args.order
-        kw["cross_order"] = min(args.order, 20)
     try:
         grid = GridSpec(**kw)
     except ValueError as exc:

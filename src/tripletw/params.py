@@ -207,8 +207,7 @@ def conformal_weight(mp: ModelParams, mu: ScaledWeight) -> Fraction:
 
 def narrow(mp: ModelParams, sp) -> bool:
     """(sqrt(p) lambda_p + rho, theta) <= p, as an exact integer comparison."""
-    sp = _digits(mp, sp)
-    return dot(tuple(s + 1 for s in sp), mp.rs.theta_root) <= mp.p
+    return narrow_margin(mp, sp) <= 0
 
 
 def narrow_margin(mp: ModelParams, sp) -> int:
@@ -219,10 +218,11 @@ def narrow_margin(mp: ModelParams, sp) -> int:
 
 def require_narrow(mp: ModelParams, sp):
     """Raise NarrowViolation unless the digits sp are narrow."""
-    if not narrow(mp, sp):
+    margin = narrow_margin(mp, sp)
+    if margin > 0:
         raise NarrowViolation(
             f"not narrow: (sqrt(p) lambda_p + rho, theta) = "
-            f"{narrow_margin(mp, sp) + mp.p} > p = {mp.p}"
+            f"{margin + mp.p} > p = {mp.p}"
         )
 
 

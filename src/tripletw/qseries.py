@@ -28,6 +28,7 @@ from .params import (
     ScaledWeight,
     _check_p,
     _int_vec,
+    lambda_x,
     require_narrow,
 )
 from .rootsys import (
@@ -337,7 +338,7 @@ def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):
     p = mp.p
     u = tuple(s + 1 for s in lam.sp)
     u_sq = Fraction(_scaled_norm(rs, u), rs.det)
-    anchor = Fraction(_fock_scaled(mp, lambda_x_vec(mp, lam)), 2 * p * rs.det)
+    anchor = Fraction(_fock_scaled(mp, lambda_x(mp, lam).x), 2 * p * rs.det)
     t_star = anchor + n  # top of the window, with the eta offset removed
     two_p_t = max(2 * p * t_star, Fraction(0))
     cap = (sqrt_upper(u_sq) + sqrt_upper(two_p_t)) / p
@@ -359,17 +360,13 @@ def _boxes(gram, bound, lower):
     return lattice_points(gram, (0,) * len(lower), bound, lower)
 
 
-def lambda_x_vec(mp: ModelParams, lam: LambdaParam) -> IntVec:
-    return tuple(-mp.p * a + s for a, s in zip(lam.lambda0, lam.sp))
-
-
 def module_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     """Graded dimensions of the full module of lambda: the sum over dominant
     alpha in Q of dim L(alpha + lambda0) times the (alpha, lambda) Weyl sum,
     truncated by the certified exponent bound."""
     _check_p(mp, lam.p)
     rs = mp.rs
-    anchor_scaled = _fock_scaled(mp, lambda_x_vec(mp, lam))
+    anchor_scaled = _fock_scaled(mp, lambda_x(mp, lam).x)
     terms = []
     for alpha in _alpha_candidates(mp, lam, n):
         dim = weyl_dim(rs, tuple(a + l0 for a, l0 in zip(alpha, lam.lambda0)))
@@ -387,7 +384,7 @@ def lattice_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     rs = mp.rs
     p = mp.p
     den = 2 * p * rs.det
-    x_lam = lambda_x_vec(mp, lam)
+    x_lam = lambda_x(mp, lam).x
     center = tuple(c - (p - 1) for c in x_lam)  # x_lambda - (p-1) rho
     anchor_scaled = _scaled_norm(rs, center)
     top_scaled = anchor_scaled + n * den

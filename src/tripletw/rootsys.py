@@ -34,8 +34,6 @@ from ._exact import (
     mat_mul,
     mat_vec,
     sqrt_upper,
-    vec_add,
-    vec_sub,
 )
 
 # The largest Weyl group `_enumerate` lists; set it per scope and reset the token.

@@ -61,8 +61,9 @@ class GridSpec:
 
     p values are h+p_lo .. h+p_hi per type, clamped to >= 2 and deduplicated,
     unless p_values gives an absolute list.  order is the window for single
-    characters, cross_order for pairwise character comparisons.  alpha ranges
-    over dominant root-lattice weights with |alpha| <= |rho| + alpha_margin.
+    characters, cross_order (by default min(order, 20)) for pairwise character
+    comparisons.  alpha ranges over dominant root-lattice weights with
+    |alpha| <= |rho| + alpha_margin.
     """
 
     types: tuple = ("A1", "A2")
@@ -70,7 +71,7 @@ class GridSpec:
     p_hi: int = 2
     p_values: tuple | None = None
     order: int = 30
-    cross_order: int = 20
+    cross_order: int | None = None
     alpha_margin: int = 3
 
     def __post_init__(self):
@@ -79,6 +80,8 @@ class GridSpec:
         )
         if self.p_values is not None:
             object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
+        if self.cross_order is None:
+            object.__setattr__(self, "cross_order", min(self.order, 20))
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,6 @@ class CheckReport:
     def __post_init__(self):
         if (self.status == "fail") != bool(self.counterexamples):
             raise ValueError("status must be fail iff counterexamples are present")
-
-
-REPORT_ONLY = frozenset({"lemma215_boundary_report"})
 
 
 class _Skip(Exception):
@@ -120,15 +120,41 @@ def _models(grid: GridSpec, max_rank: int | None = None):
             yield build_model(rs, p)
 
 
-def _require_models(grid: GridSpec, max_rank: int):
+def _cases(grid: GridSpec, narrow_only=False, max_rank=None, alphas=False,
+           flag_narrow=False, weyl=False):
+    """Every case a parameter suite visits: (mp, lam, alpha, is_narrow, elems).
+
+    Models come in grid order, lam in lambda_params order and, with alphas,
+    alpha innermost over the dominant root-lattice weights within the grid's
+    margin (None without alphas).  is_narrow is narrow(mp, lam.sp), evaluated
+    once per lam when narrow_only keeps only narrow lam or flag_narrow asks
+    for it, and None otherwise.  With weyl, elems is the model's Weyl group,
+    enumerated before its first lam so that a Weyl cap skips the suite even
+    where it has no case; None otherwise.  max_rank leaves out types of larger
+    rank and skips the suite when none is left.
+    """
     models = list(_models(grid, max_rank))
-    if not models:
+    if max_rank is not None and not models:
         raise _Skip(f"no types of rank <= {max_rank} in grid")
-    return models
+    for mp in models:
+        elems = weyl_enumerate(mp.rs) if weyl else None
+        alpha_range = (enum_dominant_in_Q(mp.rs, grid.alpha_margin, relative=True)
+                       if alphas else (None,))
+        for lam in lambda_params(mp):
+            is_narrow = narrow(mp, lam.sp) if narrow_only or flag_narrow else None
+            if narrow_only and not is_narrow:
+                continue
+            for alpha in alpha_range:
+                yield mp, lam, alpha, is_narrow, elems
 
 
-def _digit_vectors(mp):
-    return product(range(mp.p), repeat=mp.rs.rank)
+def _digit_cases(grid: GridSpec):
+    """(mp, w0, sp) for every model and every digit vector sp in [0, p-1]^l,
+    with w0 the longest Weyl element of the model's type."""
+    for mp in _models(grid):
+        w0 = longest_element(mp.rs)
+        for sp in product(range(mp.p), repeat=mp.rs.rank):
+            yield mp, w0, sp
 
 
 def _describe(grid: GridSpec) -> str:
@@ -145,6 +171,11 @@ def _describe(grid: GridSpec) -> str:
 
 def _rec(**kw) -> dict:
     return {k: str(v) for k, v in kw.items()}
+
+
+def _ce(mp, lam, **kw) -> dict:
+    """A counterexample at parameter lam of model mp, with the given fields."""
+    return _rec(type=mp.rs.type, p=mp.p, lambda0=lam.lambda0, sp=lam.sp, **kw)
 
 
 def _check_strange_formula(grid: GridSpec):
@@ -169,17 +200,14 @@ def _check_lemma215_strict(grid: GridSpec):
     """epsilon at the longest element is -rho whenever the narrow inequality
     is strict."""
     ces = []
-    for mp in _models(grid):
-        rs = mp.rs
-        w0 = longest_element(rs)
-        target = (-1,) * rs.rank
-        for sp in _digit_vectors(mp):
-            if narrow_margin(mp, sp) >= 0:
-                continue
-            eps = epsilon(mp, sp, w0)
-            if eps != target:
-                ces.append(_rec(type=rs.type, p=mp.p, sp=sp,
-                                epsilon=eps, minus_rho=target))
+    for mp, w0, sp in _digit_cases(grid):
+        if narrow_margin(mp, sp) >= 0:
+            continue
+        eps = epsilon(mp, sp, w0)
+        target = (-1,) * mp.rs.rank
+        if eps != target:
+            ces.append(_rec(type=mp.rs.type, p=mp.p, sp=sp,
+                            epsilon=eps, minus_rho=target))
     return ces, []
 
 
@@ -187,18 +215,15 @@ def _check_lemma215_boundary(grid: GridSpec):
     """Report-only: epsilon at the longest element on the equality stratum of
     the narrow condition, compared against -rho."""
     rows = []
-    for mp in _models(grid):
-        rs = mp.rs
-        w0 = longest_element(rs)
-        target = (-1,) * rs.rank
-        for sp in _digit_vectors(mp):
-            if narrow_margin(mp, sp) != 0:
-                continue
-            eps = epsilon(mp, sp, w0)
-            rows.append(
-                f"{rs.type} p={mp.p} sp={sp}: epsilon={eps} "
-                f"minus_rho={target} agree={eps == target}"
-            )
+    for mp, w0, sp in _digit_cases(grid):
+        if narrow_margin(mp, sp) != 0:
+            continue
+        eps = epsilon(mp, sp, w0)
+        target = (-1,) * mp.rs.rank
+        rows.append(
+            f"{mp.rs.type} p={mp.p} sp={sp}: epsilon={eps} "
+            f"minus_rho={target} agree={eps == target}"
+        )
     return [], rows
 
 
@@ -206,15 +231,12 @@ def _check_lemma216_equiv(grid: GridSpec):
     """The digit-chain vanishing condition along the canonical reduced word of
     the longest element holds iff the narrow inequality does, for every sp."""
     ces = []
-    for mp in _models(grid):
-        rs = mp.rs
-        word = longest_element(rs).word
-        for sp in _digit_vectors(mp):
-            c1 = lemma216_cond1(mp, sp, word)
-            c2 = narrow(mp, sp)
-            if c1 != c2:
-                ces.append(_rec(type=rs.type, p=mp.p, sp=sp,
-                                chain_condition=c1, narrow=c2))
+    for mp, w0, sp in _digit_cases(grid):
+        c1 = lemma216_cond1(mp, sp, w0.word)
+        c2 = narrow(mp, sp)
+        if c1 != c2:
+            ces.append(_rec(type=mp.rs.type, p=mp.p, sp=sp,
+                            chain_condition=c1, narrow=c2))
     return ces, []
 
 
@@ -249,20 +271,13 @@ def _check_lemma310_bruteforce(grid: GridSpec):
     """For rank <= 2: the brute-force set of chamber pairs contains the
     constructed pair exactly when the parameter is narrow."""
     ces = []
-    for mp in _require_models(grid, max_rank=2):
-        rs = mp.rs
-        elems = weyl_enumerate(rs)
-        alphas = enum_dominant_in_Q(rs, grid.alpha_margin, relative=True)
-        for lam in lambda_params(mp):
-            is_narrow = narrow(mp, lam.sp)
-            for alpha in alphas:
-                _, sigma, beta = lemma310_construct(mp, alpha, lam.lambda0)
-                contained = (sigma.matrix, beta) in _brute_pairs(mp, alpha, lam, elems)
-                if contained != is_narrow:
-                    ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                    sp=lam.sp, alpha=alpha, sigma=sigma.word,
-                                    beta=beta, in_brute_set=contained,
-                                    narrow=is_narrow))
+    for mp, lam, alpha, is_narrow, elems in _cases(
+            grid, max_rank=2, alphas=True, flag_narrow=True, weyl=True):
+        _, sigma, beta = lemma310_construct(mp, alpha, lam.lambda0)
+        contained = (sigma.matrix, beta) in _brute_pairs(mp, alpha, lam, elems)
+        if contained != is_narrow:
+            ces.append(_ce(mp, lam, alpha=alpha, sigma=sigma.word, beta=beta,
+                           in_brute_set=contained, narrow=is_narrow))
     return ces, []
 
 
@@ -270,18 +285,13 @@ def _check_remark311_iff(grid: GridSpec):
     """For rank <= 3: the constructed chamber pair passes the chamber
     criterion iff the parameter is narrow."""
     ces = []
-    for mp in _require_models(grid, max_rank=3):
-        rs = mp.rs
-        alphas = enum_dominant_in_Q(rs, grid.alpha_margin, relative=True)
-        for lam in lambda_params(mp):
-            is_narrow = narrow(mp, lam.sp)
-            for alpha in alphas:
-                _, sigma, beta = lemma310_construct(mp, alpha, lam.lambda0)
-                ok = lemma39_test(mp, sigma, beta, alpha, lam)
-                if ok != is_narrow:
-                    ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                    sp=lam.sp, alpha=alpha, sigma=sigma.word,
-                                    beta=beta, criterion=ok, narrow=is_narrow))
+    for mp, lam, alpha, is_narrow, _ in _cases(
+            grid, max_rank=3, alphas=True, flag_narrow=True):
+        _, sigma, beta = lemma310_construct(mp, alpha, lam.lambda0)
+        ok = lemma39_test(mp, sigma, beta, alpha, lam)
+        if ok != is_narrow:
+            ces.append(_ce(mp, lam, alpha=alpha, sigma=sigma.word, beta=beta,
+                           criterion=ok, narrow=is_narrow))
     return ces, []
 
 
@@ -289,22 +299,14 @@ def _check_exponent_identity(grid: GridSpec):
     """Affine-orbit exponents equal direct character exponents element by
     element, for every narrow parameter and every alpha in range."""
     ces = []
-    for mp in _models(grid):
-        rs = mp.rs
-        elems = weyl_enumerate(rs)
-        alphas = enum_dominant_in_Q(rs, grid.alpha_margin, relative=True)
-        for lam in lambda_params(mp):
-            if not narrow(mp, lam.sp):
-                continue
-            for alpha in alphas:
-                for sigma in elems:
-                    a = affine_exponent(mp, sigma, alpha, lam)
-                    d = direct_exponent(mp, sigma, alpha, lam)
-                    if a != d:
-                        ces.append(_rec(type=rs.type, p=mp.p,
-                                        lambda0=lam.lambda0, sp=lam.sp,
-                                        alpha=alpha, sigma=sigma.word,
-                                        affine=a, direct=d))
+    for mp, lam, alpha, _, elems in _cases(
+            grid, narrow_only=True, alphas=True, weyl=True):
+        for sigma in elems:
+            a = affine_exponent(mp, sigma, alpha, lam)
+            d = direct_exponent(mp, sigma, alpha, lam)
+            if a != d:
+                ces.append(_ce(mp, lam, alpha=alpha, sigma=sigma.word,
+                               affine=a, direct=d))
     return ces, []
 
 
@@ -312,25 +314,15 @@ def _check_char_nonneg_leading1(grid: GridSpec):
     """Signed Weyl characters of narrow parameters have leading coefficient 1
     and no negative coefficient through the window."""
     ces = []
-    for mp in _models(grid):
-        rs = mp.rs
-        alphas = enum_dominant_in_Q(rs, grid.alpha_margin, relative=True)
-        for lam in lambda_params(mp):
-            if not narrow(mp, lam.sp):
-                continue
-            for alpha in alphas:
-                ch = w_char(mp, alpha, lam, grid.order)
-                if ch.coeffs[0] != 1:
-                    ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                    sp=lam.sp, alpha=alpha,
-                                    leading=ch.coeffs[0], expected=1))
-                    continue
-                bad = [j for j, c in enumerate(ch.coeffs) if c < 0]
-                if bad:
-                    ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                    sp=lam.sp, alpha=alpha,
-                                    first_negative_offset=bad[0],
-                                    coefficient=ch.coeffs[bad[0]]))
+    for mp, lam, alpha, *_ in _cases(grid, narrow_only=True, alphas=True):
+        ch = w_char(mp, alpha, lam, grid.order)
+        if ch.coeffs[0] != 1:
+            ces.append(_ce(mp, lam, alpha=alpha, leading=ch.coeffs[0], expected=1))
+            continue
+        bad = [j for j, c in enumerate(ch.coeffs) if c < 0]
+        if bad:
+            ces.append(_ce(mp, lam, alpha=alpha, first_negative_offset=bad[0],
+                           coefficient=ch.coeffs[bad[0]]))
     return ces, []
 
 
@@ -339,25 +331,20 @@ def _check_submodule_bound(grid: GridSpec):
     exponent of the lattice window, for every parameter."""
     ces = []
     n = grid.cross_order
-    for mp in _models(grid):
-        rs = mp.rs
-        for lam in lambda_params(mp):
-            mc = module_char(mp, lam, n)
-            lc = lattice_char(mp, lam, n)
-            shift = mc.base - lc.base
-            if shift.denominator != 1 or shift < 0:
-                ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                sp=lam.sp, module_base=mc.base,
-                                lattice_base=lc.base))
-                continue
-            d = int(shift)
-            for j in range(lc.order + 1):
-                m = mc.coeffs[j - d] if d <= j else 0
-                if lc.coeffs[j] < m:
-                    ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                    sp=lam.sp, exponent=lc.base + j,
-                                    lattice=lc.coeffs[j], module=m))
-                    break
+    for mp, lam, *_ in _cases(grid):
+        mc = module_char(mp, lam, n)
+        lc = lattice_char(mp, lam, n)
+        shift = mc.base - lc.base
+        if shift.denominator != 1 or shift < 0:
+            ces.append(_ce(mp, lam, module_base=mc.base, lattice_base=lc.base))
+            continue
+        d = int(shift)
+        for j in range(lc.order + 1):
+            m = mc.coeffs[j - d] if d <= j else 0
+            if lc.coeffs[j] < m:
+                ces.append(_ce(mp, lam, exponent=lc.base + j,
+                               lattice=lc.coeffs[j], module=m))
+                break
     return ces, []
 
 
@@ -366,20 +353,14 @@ def _check_duality_chars(grid: GridSpec):
     parameters, through the cross-comparison window."""
     ces = []
     n = grid.cross_order
-    for mp in _models(grid):
-        rs = mp.rs
-        for lam in lambda_params(mp):
-            if not narrow(mp, lam.sp):
-                continue
-            dual = dual_param(mp, lam)
-            a = module_char(mp, lam, n)
-            b = module_char(mp, dual, n)
-            if not qs_eq(a, b, n):
-                ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                sp=lam.sp, dual_lambda0=dual.lambda0,
-                                dual_sp=dual.sp,
-                                char=(str(a.base), a.coeffs),
-                                dual_char=(str(b.base), b.coeffs)))
+    for mp, lam, *_ in _cases(grid, narrow_only=True):
+        dual = dual_param(mp, lam)
+        a = module_char(mp, lam, n)
+        b = module_char(mp, dual, n)
+        if not qs_eq(a, b, n):
+            ces.append(_ce(mp, lam, dual_lambda0=dual.lambda0, dual_sp=dual.sp,
+                           char=(str(a.base), a.coeffs),
+                           dual_char=(str(b.base), b.coeffs)))
     return ces, []
 
 
@@ -387,15 +368,12 @@ def _check_delta_selfdual(grid: GridSpec):
     """Conformal weights are invariant under the dual parameter involution,
     for every parameter."""
     ces = []
-    for mp in _models(grid):
-        rs = mp.rs
-        for lam in lambda_params(mp):
-            dual = dual_param(mp, lam)
-            a = delta_lambda(mp, lam)
-            b = delta_lambda(mp, dual)
-            if a != b:
-                ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                sp=lam.sp, delta=a, dual_delta=b))
+    for mp, lam, *_ in _cases(grid):
+        dual = dual_param(mp, lam)
+        a = delta_lambda(mp, lam)
+        b = delta_lambda(mp, dual)
+        if a != b:
+            ces.append(_ce(mp, lam, delta=a, dual_delta=b))
     return ces, []
 
 
@@ -417,9 +395,8 @@ def _check_lambda_count(grid: GridSpec):
         for lam in lams:
             back = canonical_lambda(mp, lambda_x(mp, lam))
             if back != lam:
-                ces.append(_rec(type=rs.type, p=mp.p, lambda0=lam.lambda0,
-                                sp=lam.sp, roundtrip_lambda0=back.lambda0,
-                                roundtrip_sp=back.sp))
+                ces.append(_ce(mp, lam, roundtrip_lambda0=back.lambda0,
+                               roundtrip_sp=back.sp))
     return ces, []
 
 

@@ -22,8 +22,8 @@ from tripletw import (
     weyl_enumerate,
     y_sigma,
 )
-from tripletw.params import lambda_params, narrow
-from tripletw.qseries import _fock_scaled, lambda_x_vec
+from tripletw.params import lambda_params, lambda_x, narrow
+from tripletw.qseries import _fock_scaled
 
 
 def _elem(rs, word):
@@ -148,7 +148,7 @@ def test_identity_exponent_is_fock_exponent(a1, a2):
         for lam in lambda_params(mp):
             if lam.lambda0 != (0,) * rs.rank:
                 continue
-            want = Fraction(_fock_scaled(mp, lambda_x_vec(mp, lam)),
+            want = Fraction(_fock_scaled(mp, lambda_x(mp, lam).x),
                             2 * p * rs.det)
             assert direct_exponent(mp, ident, (0,) * rs.rank, lam) == want
 

@@ -204,6 +204,7 @@ def test_optimized_interpreter_gives_the_same_verify_output():
                                capture_output=True, text=True, timeout=120)
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
+    assert plain.stdout == (GOLDEN / "verify_all.json").read_text()
 
 
 def test_lambda_list_counts():
@@ -240,6 +241,8 @@ def test_verify_single_suite():
 
 
 def test_verify_small_grid_all():
+    from tripletw import GridSpec, run_all
+
     args = ("verify", "all", "--type", "A1", "-p", "2", "--order", "8")
     r = run_cli(*args)
     assert r.returncode == 0
@@ -248,6 +251,10 @@ def test_verify_small_grid_all():
     assert all(e["status"] == "pass" for e in got)
     # byte-stable: no timing or other run-dependent data in the output
     assert r.stdout == run_cli(*args).stdout
+    # the library grid over the same ranges runs the same checks
+    lib = run_all(GridSpec(types=("A1",), p_values=(2,), order=8))
+    assert [(e["check"], e["grid"], e["status"]) for e in got] == [
+        (x.check_name, x.grid, x.status) for x in lib]
 
 
 def test_verify_text_output():

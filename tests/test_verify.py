@@ -1,7 +1,7 @@
 import pytest
 
 from tripletw import CheckReport, GridSpec, run_all, run_check
-from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, REPORT_ONLY, all_passed
+from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, all_passed
 
 SMALL = GridSpec(types=("A1",), p_values=(2, 3), order=12, cross_order=8,
                  alpha_margin=2)
@@ -27,7 +27,6 @@ def test_check_names_stable():
         "delta_selfdual",
         "lambda_count",
     )
-    assert REPORT_ONLY <= set(CHECK_NAMES)
 
 
 def test_small_grid_all_pass():
@@ -66,6 +65,12 @@ def test_oversized_grid_skips():
     assert r.info == ("no types of rank <= 2 in grid",)
     r = run_check("remark311_iff", grid)
     assert r.info == ("no types of rank <= 3 in grid",)
+
+
+def test_grid_cross_order_follows_order():
+    assert GridSpec().cross_order == 20
+    assert GridSpec(order=6).cross_order == 6
+    assert GridSpec(order=6, cross_order=4).cross_order == 4
 
 
 def test_grid_normalizes_types():
