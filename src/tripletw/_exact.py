@@ -9,26 +9,38 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
 
 
+# dot, mat_vec and mat_mul are the package's hot kernels (orbit exponents,
+# pairings, Weyl actions and enumeration): each sum runs in C through
+# map(mul, ...), so the lengths are checked up front, since map stops
+# silently at the shorter input.
+
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    return sum(map(mul, u, v))
 
 
 def mat_vec(m: IntMat, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    n = len(v)
+    for row in m:
+        if len(row) != n:
+            raise ValueError("dimension mismatch")
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    n = len(a)
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in cols)
-        for i in range(n)
-    )
+    k = len(b)
+    for row in a:
+        if len(row) != k:
+            raise ValueError("dimension mismatch")
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def identity_matrix(n: int) -> IntMat:

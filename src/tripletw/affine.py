@@ -26,6 +26,7 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     act,
+    check_weyl_cap,
     norm_sq,
     root_action,
     root_coords_int,
@@ -57,17 +58,22 @@ def aff_mul(rs: RootSystem, y1: AffineWeylElement, y2: AffineWeylElement) -> Aff
     return AffineWeylElement(sigma=sigma, beta=beta)
 
 
+def _classical_part(rs: RootSystem, y: AffineWeylElement, classical, level):
+    """sigma(classical + level * beta): the classical part of y = sigma t_beta
+    acting on a weight with that classical part at that level."""
+    beta_f = root_to_fund(rs, y.beta)
+    return act(y.sigma, tuple([c + level * b for c, b in zip(classical, beta_f)]))
+
+
 def aff_act(rs: RootSystem, y: AffineWeylElement, mu: AffineWeight) -> AffineWeight:
     """Classical part sigma(mu_bar + level * beta); level preserved; the
     delta coefficient picks up -(mu_bar, beta) - |beta|^2 level / 2."""
     if len(mu.classical) != rs.rank:
         raise ValueError("dimension mismatch")
-    beta_f = root_to_fund(rs, y.beta)
-    shifted = tuple(c + mu.level * b for c, b in zip(mu.classical, beta_f))
-    beta_sq = dot(beta_f, y.beta)
+    beta_sq = dot(root_to_fund(rs, y.beta), y.beta)
     delta = mu.delta_coeff - dot(mu.classical, y.beta) - Fraction(beta_sq, 2) * mu.level
-    return AffineWeight(classical=act(y.sigma, shifted), level=mu.level,
-                        delta_coeff=delta)
+    return AffineWeight(classical=_classical_part(rs, y, mu.classical, mu.level),
+                        level=mu.level, delta_coeff=delta)
 
 
 def aff_circ(mp: ModelParams, y: AffineWeylElement, mu: AffineWeight) -> AffineWeight:
@@ -114,19 +120,16 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
 _CHAMBER_CACHE: dict = {}
 
 
-def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylElement, IntVec]:
-    """The chamber data (omega, sigma, beta) attached to (alpha, lambda0).
+def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, WeylElement]:
+    """(omega, sigma_c, sigma_c^{-1}) for the integral weight lambda0.
 
     omega is the minuscule-or-zero representative of the class of
-    lambda0 + rho; beta = alpha + lambda0 + rho - omega lies in Q; sigma is
-    the unique Weyl element sending exactly the positive roots pairing to 0
-    with omega to positive roots.  sigma and omega do not depend on alpha.
-    Uniqueness is established by exhaustive search; beta is returned in
-    simple-root coordinates.
+    lambda0 + rho; sigma_c is the unique Weyl element sending exactly the
+    positive roots pairing to 0 with omega to positive roots, found once per
+    (type, lambda0) by exhaustive search.  The search enumerates W, so the
+    Weyl cap is checked on every call, cached or not.
     """
-    rs = mp.rs
-    alpha = _int_vec(alpha, rs.rank)
-    lambda0 = _int_vec(lambda0, rs.rank)
+    check_weyl_cap(rs)
     key = (rs.type, lambda0)
     got = _CHAMBER_CACHE.get(key)
     if got is None:
@@ -150,9 +153,22 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
             raise RuntimeError(
                 f"chamber element for lambda0={lambda0} not unique: {len(matches)} found"
             )
-        got = (omega, matches[0])
+        got = (omega, matches[0], weyl_inverse(rs, matches[0]))
         _CHAMBER_CACHE[key] = got
-    omega, sigma = got
+    return got
+
+
+def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylElement, IntVec]:
+    """The chamber data (omega, sigma, beta) attached to (alpha, lambda0).
+
+    omega and sigma are those of `_chamber` and do not depend on alpha;
+    beta = alpha + lambda0 + rho - omega lies in Q and is returned in
+    simple-root coordinates.
+    """
+    rs = mp.rs
+    alpha = _int_vec(alpha, rs.rank)
+    lambda0 = _int_vec(lambda0, rs.rank)
+    omega, sigma, _ = _chamber(rs, lambda0)
     beta_f = tuple(a + l0 + 1 - o for a, l0, o in zip(alpha, lambda0, omega))
     beta = root_coords_int(rs, beta_f)
     return omega, sigma, beta
@@ -163,14 +179,16 @@ def y_sigma(mp: ModelParams, sigma: WeylElement, alpha, lambda0) -> AffineWeylEl
     sigma_c is the chamber element of lambda0; returned in normal form
     (w, beta) with w t_beta = t_gamma w, beta = w^{-1}(gamma) in Q."""
     rs = mp.rs
-    omega, sigma_c, _ = lemma310_construct(mp, alpha, lambda0)  # validates alpha, lambda0
-    gamma = tuple(
+    alpha = _int_vec(alpha, rs.rank)
+    lambda0 = _int_vec(lambda0, rs.rank)
+    omega, _, sigma_c_inv = _chamber(rs, lambda0)
+    gamma = tuple([
         so - (a + l0 + 1)
         for so, a, l0 in zip(act(sigma, omega), alpha, lambda0, strict=True)
-    )
-    w = weyl_compose(rs, sigma, weyl_inverse(rs, sigma_c))
-    beta_f = act(weyl_inverse(rs, w), gamma)
-    beta = root_coords_int(rs, beta_f)
+    ])
+    w = weyl_compose(rs, sigma, sigma_c_inv)
+    # gamma is in Q exactly when alpha + lambda0 + rho - omega is
+    beta = root_coords_int(rs, act(weyl_inverse(rs, w), gamma))
     return AffineWeylElement(sigma=w, beta=beta)
 
 
@@ -182,13 +200,13 @@ def mu_lambda(mp: ModelParams, lam: LambdaParam) -> AffineWeight:
     sigma_c(-p omega + s + rho) - rho, with sigma_c, omega from lambda0."""
     rs = mp.rs
     _check_p(mp, lam.p)
+    check_weyl_cap(rs)  # a cached weight came from a Weyl search too
     key = (rs.type, mp.p, lam.lambda0, lam.sp)
     got = _MU_CACHE.get(key)
     if got is not None:
         return got
     _digits(mp, lam.sp)
-    zero = (0,) * rs.rank
-    omega, sigma_c, _ = lemma310_construct(mp, zero, lam.lambda0)
+    omega, sigma_c, _ = _chamber(rs, _int_vec(lam.lambda0, rs.rank))
     inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, lam.sp))
     classical = tuple(c - 1 for c in act(sigma_c, inner))
     got = AffineWeight(classical=classical, level=mp.k, delta_coeff=Fraction(0))
@@ -204,14 +222,18 @@ def affine_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     Defined only under the narrow condition.  Labelling by the inverse makes
     the exponent agree with the direct character exponent of the same sigma
     term by term; the signed sums agree either way since inversion preserves
-    length.
+    length.  Only the classical part is computed: conjugating by
+    rho + h Lambda0, it is y acting on mu_lambda + rho at level k + h = p,
+    w(mu_bar + rho + p beta) for y = w t_beta.  The delta coefficient never
+    enters the exponent.
     """
     rs = mp.rs
     require_narrow(mp, lam.sp)
     y = y_sigma(mp, weyl_inverse(rs, sigma), alpha, lam.lambda0)
-    out = aff_circ(mp, y, mu_lambda(mp, lam))
-    shifted = tuple(c + 1 for c in out.classical)
-    return Fraction(norm_sq(rs, shifted), 2 * mp.p)
+    mu = mu_lambda(mp, lam)
+    moved = _classical_part(rs, y, tuple([c + 1 for c in mu.classical]),
+                            mu.level + rs.coxeter_h)
+    return Fraction(norm_sq(rs, moved), 2 * mp.p)
 
 
 def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,

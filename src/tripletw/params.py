@@ -101,6 +101,8 @@ def scaled(mp: ModelParams, x) -> ScaledWeight:
 def _int_vec(x, rank: int) -> IntVec:
     if len(x) != rank:
         raise ValueError("dimension mismatch")
+    if all(type(c) is int for c in x):
+        return tuple(x)
     out = []
     for c in x:
         if isinstance(c, Fraction):

@@ -216,11 +216,9 @@ def build_root_system(t) -> RootSystem:
 
 
 def pairing(rs: RootSystem, mu, nu) -> Fraction:
-    """Invariant form on weights in fundamental coordinates."""
-    l = rs.rank
-    if len(mu) != l or len(nu) != l:
-        raise ValueError("dimension mismatch")
-    num = sum(mu[i] * sum(rs.adj[i][j] * nu[j] for j in range(l)) for i in range(l))
+    """Invariant form on weights in fundamental coordinates:
+    mu . adj(C) . nu / det(C), with one Fraction at the end."""
+    num = dot(mu, mat_vec(rs.adj, nu))
     return Fraction(num, rs.det) if isinstance(num, int) else num / rs.det
 
 
@@ -268,6 +266,17 @@ def root_coords_int(rs: RootSystem, mu) -> IntVec:
 _WEYL_CACHE: dict[CartanType, tuple[tuple[WeylElement, ...], dict]] = {}
 
 
+def check_weyl_cap(rs: RootSystem):
+    """Raise CapExceeded when the Weyl group of rs is larger than WEYL_CAP.
+
+    The one cap check: `_enumerate` makes it before its cache lookup, and so
+    do the chamber search and `mu_lambda` in `affine`.
+    """
+    cap = WEYL_CAP.get()
+    if rs.weyl_order > cap:
+        raise CapExceeded(required=rs.weyl_order, cap=cap)
+
+
 def _enumerate(rs: RootSystem) -> tuple[tuple[WeylElement, ...], dict]:
     """BFS over reduced words, keeping the lexicographically smallest word
     for each element.  Appending generators on the right of an already
@@ -276,9 +285,7 @@ def _enumerate(rs: RootSystem) -> tuple[tuple[WeylElement, ...], dict]:
     and prefixes of reduced words are reduced words of their own elements.
     Refuses (CapExceeded) a group larger than WEYL_CAP, cached or not.
     """
-    cap = WEYL_CAP.get()
-    if rs.weyl_order > cap:
-        raise CapExceeded(required=rs.weyl_order, cap=cap)
+    check_weyl_cap(rs)
     if rs.type in _WEYL_CACHE:
         return _WEYL_CACHE[rs.type]
     cartan = rs.cartan

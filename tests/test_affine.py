@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletw import (
+    WEYL_CAP,
     AffineWeight,
     AffineWeylElement,
+    CapExceeded,
+    GridSpec,
     LambdaParam,
     NarrowViolation,
     aff_act,
@@ -19,10 +22,13 @@ from tripletw import (
     lemma310_construct,
     lemma39_test,
     mu_lambda,
+    norm_sq,
+    run_check,
     weyl_enumerate,
     y_sigma,
 )
-from tripletw.params import lambda_params, lambda_x, narrow
+from tripletw.params import lambda0_set, lambda_params, lambda_x, narrow
+from tripletw.rootsys import weyl_inverse
 from tripletw.qseries import _fock_scaled
 
 
@@ -198,3 +204,54 @@ def test_lemma39_examples(a1, a2):
     assert not lemma39_test(mp, sigma, beta, (0, 0), wide)
     ok = LambdaParam((0, 0), (0, 0), 2)
     assert lemma39_test(mp, sigma, beta, (0, 0), ok)
+
+
+@pytest.mark.parametrize("t,p", [("A1", 2), ("A1", 3), ("A2", 3), ("A2", 4),
+                                 ("A3", 4), ("D4", 6)])
+def test_affine_exponent_matches_the_full_affine_action(t, p):
+    # affine_exponent computes only the classical part of y circ mu; the
+    # reference goes through aff_circ, with its level and delta bookkeeping
+    rs = build_root_system(t)
+    mp = build_model(rs, p)
+    rho = (1,) * rs.rank
+    alphas = [(0,) * rs.rank, tuple(rs.theta), tuple(2 * c for c in rs.theta)]
+    checked = 0
+    for lam in lambda_params(mp):
+        if not narrow(mp, lam.sp):
+            continue
+        mu = mu_lambda(mp, lam)
+        for alpha in alphas:
+            for sigma in weyl_enumerate(rs):
+                y = y_sigma(mp, weyl_inverse(rs, sigma), alpha, lam.lambda0)
+                out = aff_circ(mp, y, mu)
+                shifted = tuple(c + r for c, r in zip(out.classical, rho))
+                want = norm_sq(rs, shifted) / (2 * p)
+                assert affine_exponent(mp, sigma, alpha, lam) == want
+                checked += 1
+    assert checked >= len(alphas) * rs.weyl_order
+
+
+def test_cached_chamber_data_obeys_a_lower_weyl_cap(a2):
+    mp = build_model(a2, 3)
+    lam = LambdaParam((0, 0), (0, 0), 3)
+    ident = weyl_enumerate(a2)[0]
+    for lam0 in lambda0_set(a2):
+        lemma310_construct(mp, (0, 0), lam0)
+    mu_lambda(mp, lam)
+    affine_exponent(mp, ident, (0, 0), lam)
+    grid = GridSpec(types=("A2",), p_values=(3,), order=6, cross_order=6)
+    assert run_check("remark311_iff", grid).status == "pass"
+    token = WEYL_CAP.set(5)
+    try:
+        for call in (lambda: lemma310_construct(mp, (0, 0), (0, 0)),
+                     lambda: y_sigma(mp, ident, (0, 0), (0, 0)),
+                     lambda: mu_lambda(mp, lam),
+                     lambda: affine_exponent(mp, ident, (0, 0), lam)):
+            with pytest.raises(CapExceeded) as ei:
+                call()
+            assert (ei.value.required, ei.value.cap) == (6, 5)
+        # a fresh interpreter under the same cap reports skipped as well
+        assert run_check("remark311_iff", grid).status == "skipped"
+    finally:
+        WEYL_CAP.reset(token)
+    assert run_check("remark311_iff", grid).status == "pass"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletw import build_root_system
-from tripletw._exact import lattice_points
+from tripletw import build_root_system, pairing
+from tripletw._exact import dot, lattice_points, mat_mul, mat_vec
+from tripletw.params import _int_vec
 
 # (name, Gram matrix, its inverse)
 GRAMS = [
@@ -91,3 +92,81 @@ def test_lattice_points_rejects_bad_gram():
         list(lattice_points(((2, 1), (0, 2)), (0, 0), 1))
     with pytest.raises(ValueError, match="dimension"):
         list(lattice_points(((2,),), (0, 0), 1))
+
+
+# --- the map(mul) kernels against plain index sums --------------------------
+
+exact_numbers = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def naive_mat_vec(m, v):
+    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(exact_numbers, min_size=n, max_size=n),
+    st.lists(exact_numbers, min_size=n, max_size=n),
+    st.lists(st.lists(exact_numbers, min_size=n, max_size=n), min_size=1, max_size=5),
+)))
+def test_kernels_match_index_sums(data):
+    u, v, m = data
+    u, v, m = tuple(u), tuple(v), tuple(map(tuple, m))
+    assert dot(u, v) == sum(u[i] * v[i] for i in range(len(u)))
+    assert mat_vec(m, v) == naive_mat_vec(m, v)
+    assert type(mat_vec(m, v)) is tuple
+    # m (r x n) times a matrix whose columns are u and v (n x 2)
+    b = tuple(zip(u, v))
+    assert mat_mul(m, b) == tuple(zip(naive_mat_vec(m, u), naive_mat_vec(m, v)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("A1", "A2", "A3", "D4")).flatmap(lambda t: st.tuples(
+    st.just(t),
+    st.lists(exact_numbers, min_size=build_root_system(t).rank,
+             max_size=build_root_system(t).rank),
+    st.lists(exact_numbers, min_size=build_root_system(t).rank,
+             max_size=build_root_system(t).rank),
+)))
+def test_pairing_matches_inverse_cartan_sum(data):
+    t, mu, nu = data
+    rs = build_root_system(t)
+    l = rs.rank
+    want = sum(mu[i] * rs.inv_cartan[i][j] * nu[j] for i in range(l) for j in range(l))
+    got = pairing(rs, tuple(mu), tuple(nu))
+    assert got == want
+    assert type(got) is Fraction
+
+
+def test_kernels_reject_mismatched_lengths():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_vec(((1, 2, 3),), (1, 2))     # a longer row was cut to len(v)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_vec(((1, 2), (3,)), (1, 2))  # a shorter row raised IndexError
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_vec(((1,),), (1, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul(((1, 2, 3),), ((1,), (2,)))
+    a2 = build_root_system("A2")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pairing(a2, (1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pairing(a2, (1, 2, 3), (1, 2))
+
+
+def test_int_vec_fast_path_and_fallbacks():
+    assert _int_vec((1, -2, 3), 3) == (1, -2, 3)
+    assert _int_vec([1, 2], 2) == (1, 2)
+    got = _int_vec((Fraction(3, 1), 2), 2)
+    assert got == (3, 2) and all(type(c) is int for c in got)
+    with pytest.raises(ValueError, match="non-integral coordinate"):
+        _int_vec((Fraction(1, 2), 0), 2)
+    got = _int_vec((True, False), 2)
+    assert got == (1, 0) and all(type(c) is int for c in got)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _int_vec((1, 2), 3)
