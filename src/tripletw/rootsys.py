@@ -269,8 +269,9 @@ _WEYL_CACHE: dict[CartanType, tuple[tuple[WeylElement, ...], dict]] = {}
 def check_weyl_cap(rs: RootSystem):
     """Raise CapExceeded when the Weyl group of rs is larger than WEYL_CAP.
 
-    The one cap check: `_enumerate` makes it before its cache lookup, and so
-    do the chamber search and `mu_lambda` in `affine`.
+    The one cap check: `_enumerate`, `weyl_compose` and `weyl_inverse` make
+    it before their cache lookups, and so do the chamber search and
+    `mu_lambda` in `affine`.
     """
     cap = WEYL_CAP.get()
     if rs.weyl_order > cap:
@@ -334,6 +335,7 @@ _COMPOSE_CACHE: dict = {}
 
 
 def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement) -> WeylElement:
+    check_weyl_cap(rs)
     key = (rs.type, u.word, v.word)
     got = _COMPOSE_CACHE.get(key)
     if got is None:
@@ -346,10 +348,17 @@ _INV_CACHE: dict = {}
 
 
 def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
+    """w^-1 through the invariant form: w preserves adj / det, so
+    w^-1 = C w^T adj / det on fundamental coordinates."""
+    check_weyl_cap(rs)
     key = (rs.type, w.word)
     got = _INV_CACHE.get(key)
     if got is None:
-        got = weyl_by_matrix(rs, weyl_matrix(rs.cartan, tuple(reversed(w.word))))
+        transpose = tuple(zip(*w.matrix))
+        raw = mat_mul(rs.cartan, mat_mul(transpose, rs.adj))
+        if any(x % rs.det for row in raw for x in row):
+            raise RuntimeError(f"inverse of {w.word} is not integral")
+        got = weyl_by_matrix(rs, tuple(tuple(x // rs.det for x in row) for row in raw))
         _INV_CACHE[key] = got
     return got
 

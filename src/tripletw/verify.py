@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from ._exact import mat_vec, dot, sqrt_floor, sqrt_upper
 from .affine import (
@@ -240,30 +241,43 @@ def _check_lemma216_equiv(grid: GridSpec):
     return ces, []
 
 
-def _root_norm_sq(rs, r) -> int:
-    # (sum r_i a_i, sum r_j a_j) with (a_i, a_j) = C_ij in the simply-laced
-    # normalization; an integer.
-    return dot(r, mat_vec(rs.cartan, r))
-
-
 def _brute_pairs(mp, alpha, lam, elems):
     """All (sigma matrix, beta root coords) with |beta| <= |v|+2 passing the
-    chamber criterion, v = alpha + lambda0 + rho.  Square-root-free bound:
-    |beta|^2 - |v|^2 - 4 <= 0, or its square <= 16|v|^2."""
+    chamber criterion of `lemma39_test`, v = alpha + lambda0 + rho.
+
+    Every point of the box around the ball is scanned.  Each piece of work
+    runs once at the level it depends on: per element, the positive roots
+    pulled back, (g, sigma x) = (sigma^T g) . x; per beta, the square-root-free
+    ball test |beta|^2 - |v|^2 - 4 <= 0 or its square <= 16|v|^2, scaled by
+    det into integers, and the translated weight p(beta - v) + s + rho.
+    """
     rs = mp.rs
+    p = mp.p
+    det = rs.det
     v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
-    v_sq = norm_sq(rs, v)
-    bound = sqrt_upper(v_sq) + 2
+    v_det = dot(v, mat_vec(rs.adj, v))  # det |v|^2
+    offset = tuple(s + 1 - p * c for s, c in zip(lam.sp, v))
+    bound = sqrt_upper(Fraction(v_det, det)) + 2
     bound_sq = bound * bound
     maxima = [sqrt_floor(bound_sq * rs.inv_cartan[i][i]) for i in range(rs.rank)]
+    pulled = []
+    for w in elems:
+        transpose = tuple(zip(*w.matrix))
+        pulled.append((w.matrix, tuple(mat_vec(transpose, g) for g in rs.positive_roots)))
     hits = set()
     for r in product(*(range(-m, m + 1) for m in maxima)):
-        slack = _root_norm_sq(rs, r) - v_sq - 4
-        if slack > 0 and slack * slack > 16 * v_sq:
+        r_f = mat_vec(rs.cartan, r)
+        slack = det * dot(r, r_f) - v_det - 4 * det
+        if slack > 0 and slack * slack > 16 * det * v_det:
             continue
-        for w in elems:
-            if lemma39_test(mp, w, r, alpha, lam):
-                hits.add((w.matrix, r))
+        inner = tuple([p * b + o for b, o in zip(r_f, offset)])
+        for matrix, rows in pulled:
+            for row in rows:
+                x = sum(map(mul, row, inner))
+                if x < 0 or x > p:
+                    break
+            else:
+                hits.add((matrix, r))
     return hits
 
 

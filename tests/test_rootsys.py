@@ -26,8 +26,10 @@ from tripletw.rootsys import (
     pair_with_rho,
     root_coords_int,
     root_to_fund,
+    weyl_by_matrix,
     weyl_compose,
     weyl_inverse,
+    weyl_matrix,
 )
 
 
@@ -140,6 +142,16 @@ def test_inversion_count_is_length(t):
         assert weyl_inverse(rs, w).length == w.length
 
 
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "D4", "D5"])
+def test_inverse_matches_the_reversed_word(t):
+    rs = build_root_system(t)
+    ident = weyl_enumerate(rs)[0]
+    for w in weyl_enumerate(rs):
+        inv = weyl_inverse(rs, w)
+        assert inv == weyl_by_matrix(rs, weyl_matrix(rs.cartan, tuple(reversed(w.word))))
+        assert weyl_compose(rs, w, inv) == ident
+
+
 def test_enumeration_cap(d4):
     token = WEYL_CAP.set(191)
     try:
@@ -169,6 +181,21 @@ def test_lower_cap_refuses_an_enumerated_type(a2):
     finally:
         WEYL_CAP.reset(token)
     assert len(weyl_enumerate(a2)) == 6
+
+
+def test_cached_compose_and_inverse_obey_a_lower_cap(a2):
+    s1, s2 = weyl_enumerate(a2)[1:3]
+    weyl_compose(a2, s1, s2)
+    weyl_inverse(a2, s1)
+    token = WEYL_CAP.set(5)
+    try:
+        for call in (lambda: weyl_compose(a2, s1, s2), lambda: weyl_inverse(a2, s1)):
+            with pytest.raises(CapExceeded) as ei:
+                call()
+            assert (ei.value.required, ei.value.cap) == (6, 5)
+    finally:
+        WEYL_CAP.reset(token)
+    assert weyl_inverse(a2, s1) == s1
 
 
 @pytest.mark.parametrize(

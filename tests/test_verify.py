@@ -1,7 +1,12 @@
+from itertools import product
+
 import pytest
 
 from tripletw import CheckReport, GridSpec, run_all, run_check
-from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, all_passed
+from tripletw._exact import sqrt_floor, sqrt_upper
+from tripletw.affine import lemma39_test
+from tripletw.rootsys import norm_sq
+from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, _brute_pairs, _cases, all_passed
 
 SMALL = GridSpec(types=("A1",), p_values=(2, 3), order=12, cross_order=8,
                  alpha_margin=2)
@@ -96,3 +101,31 @@ def test_reports_deterministic():
         (r.check_name, r.grid, r.status, r.counterexamples, r.info) for r in rs
     ]
     assert proj(a) == proj(b)
+
+
+def _lemma39_pairs(mp, alpha, lam, elems):
+    """The brute set by its definition: every (sigma, beta) in the box with
+    |beta| <= |v|+2 for which lemma39_test holds, all in Fractions."""
+    rs = mp.rs
+    v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
+    v_sq = norm_sq(rs, v)
+    bound = sqrt_upper(v_sq) + 2
+    maxima = [sqrt_floor(bound * bound * rs.inv_cartan[i][i]) for i in range(rs.rank)]
+    hits = set()
+    for r in product(*(range(-m, m + 1) for m in maxima)):
+        r_f = tuple(sum(c * x for c, x in zip(row, r)) for row in rs.cartan)
+        slack = norm_sq(rs, r_f) - v_sq - 4
+        if slack > 0 and slack * slack > 16 * v_sq:
+            continue
+        hits.update((w.matrix, r) for w in elems if lemma39_test(mp, w, r, alpha, lam))
+    return hits
+
+
+def test_brute_pairs_keep_their_definition():
+    grid = GridSpec(types=("A1", "A2"), p_values=(2, 3, 4, 5, 6, 7))
+    wide = 0  # the grid has non-narrow cases (A2 only)
+    for mp, lam, alpha, is_narrow, elems in _cases(
+            grid, alphas=True, flag_narrow=True, weyl=True):
+        wide += not is_narrow
+        assert _brute_pairs(mp, alpha, lam, elems) == _lemma39_pairs(mp, alpha, lam, elems)
+    assert wide > 0
