@@ -10,7 +10,9 @@ Character families: Fock modules, the signed Weyl sum over one parameter
 classical dimensions, and lattice-module characters.  The infinite sums are
 truncated by certified bounds: a term is dropped only when the reverse
 triangle inequality proves its minimal exponent exceeds the requested window,
-with all square-root comparisons done on squares.
+with all square-root comparisons done on squares.  A Weyl sum is walked over
+its orbit, where the exponent rises along every step, and is cut at the
+window top.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .params import (
     require_narrow,
 )
 from .rootsys import (
-    act,
+    check_weyl_cap,
     fund_to_root,
     in_root_lattice,
     norm_sq,
@@ -253,16 +255,45 @@ def _require_alpha(rs, alpha) -> IntVec:
     return a
 
 
-def _w_terms(mp: ModelParams, alpha, lam: LambdaParam) -> list[tuple[int, int]]:
-    """Signed Weyl orbit exponents for one (alpha, lambda), scaled by 2 p det."""
+def _w_terms(mp: ModelParams, alpha, lam: LambdaParam, n: int,
+             anchor_scaled: int | None = None) -> list[tuple[int, int]]:
+    """Signed Weyl orbit exponents for one (alpha, lambda), scaled by 2 p det,
+    through the cut top = anchor + n (the anchor defaults to the least term,
+    the root, which is kept even above the cut).
+
+    |p sigma(v) - u|^2 = |p v - x|^2 with x = sigma^-1 u, so the terms are the
+    points x of the orbit W u, each with sign (-1)^depth: u = s + rho is
+    regular dominant, so each point is one sigma.  The walk steps from x to
+    s_i x = x - x_i C[i] when x_i > 0, which raises the length by one, and
+    only when the child is nonnegative before i, so that x is its canonical
+    parent and no point is reached twice.  Such a step raises the exponent
+    by 2 p det x_i v_i > 0 (v is regular dominant), so a child above `top`
+    is dropped with its whole subtree: the cut is the truncation certificate.
+    """
     rs = mp.rs
     p = mp.p
     v = tuple(int(a) + l0 + 1 for a, l0 in zip(alpha, lam.lambda0, strict=True))
     u = tuple(s + 1 for s in lam.sp)
-    out = []
-    for w in weyl_enumerate(rs):
-        moved = tuple(p * c - b for c, b in zip(act(w, v), u))
-        out.append((_scaled_norm(rs, moved), w.sign))
+    root = _scaled_norm(rs, tuple(p * c - b for c, b in zip(v, u)))
+    den = 2 * p * rs.det
+    top = (root if anchor_scaled is None else anchor_scaled) + n * den
+    rise = tuple(den * c for c in v)
+    cartan = rs.cartan
+    out = [(root, 1)]
+    stack = [(u, root, 1)]
+    while stack:
+        x, e, sign = stack.pop()
+        for i, xi in enumerate(x):
+            if xi <= 0:
+                continue
+            f = e + xi * rise[i]
+            if f > top:
+                continue
+            y = tuple(c - xi * a for c, a in zip(x, cartan[i]))
+            if any(c < 0 for c in y[:i]):
+                continue
+            out.append((f, -sign))
+            stack.append((y, f, -sign))
     return out
 
 
@@ -305,8 +336,10 @@ def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     sum over sigma of (-1)^l(sigma) q^(|p sigma(v) - u|^2 / 2p) over eta^l,
     with v = alpha + lambda0 + rho and u = s + rho."""
     _check_p(mp, lam.p)
-    alpha = _require_alpha(mp.rs, alpha)
-    return _assemble(mp, _w_terms(mp, alpha, lam), n)
+    rs = mp.rs
+    alpha = _require_alpha(rs, alpha)
+    check_weyl_cap(rs)
+    return _assemble(mp, _w_terms(mp, alpha, lam, n), n)
 
 
 def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
@@ -366,12 +399,13 @@ def module_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     truncated by the certified exponent bound."""
     _check_p(mp, lam.p)
     rs = mp.rs
+    check_weyl_cap(rs)
     anchor_scaled = _fock_scaled(mp, lambda_x(mp, lam).x)
     terms = []
     for alpha in _alpha_candidates(mp, lam, n):
         dim = weyl_dim(rs, tuple(a + l0 for a, l0 in zip(alpha, lam.lambda0)))
         terms.extend(
-            (s, dim * sign) for s, sign in _w_terms(mp, alpha, lam)
+            (s, dim * sign) for s, sign in _w_terms(mp, alpha, lam, n, anchor_scaled)
         )
     return _assemble(mp, terms, n, anchor_scaled=anchor_scaled)
 

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the package's own algorithms: the
 partition counter uses Euler's pentagonal recurrence instead of the
-product-expansion loop, and the multi-colour counts come from repeated
-convolution of that table.
+product-expansion loop, the multi-colour counts come from repeated
+convolution of that table, and the Weyl denominator product is built from
+the positive roots alone, with no Weyl group.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -52,3 +54,27 @@ def colored_partitions(colors: int, upto: int):
     for _ in range(colors):
         out = convolve(out, base)
     return out
+
+
+def weyl_denominator_char(positive_roots, inv_cartan, p, v, upto):
+    """The signed Weyl character at lambda0 = 0, sp = 0 by the Weyl
+    denominator identity, with v = alpha + rho in fundamental coordinates:
+
+        q^(|p v - rho|^2 / 2p - l/24) prod_{a > 0} (1 - q^(v, a)) / prod_n (1 - q^n)^l.
+
+    The roots are in simple-root coordinates, so (v, a) is a plain dot
+    product; |.|^2 is taken in the inverse Cartan form.  Returns the base
+    exponent and the coefficients through q^(base + upto).
+    """
+    l = len(v)
+    w = [p * c - 1 for c in v]
+    norm = sum(w[i] * inv_cartan[i][j] * w[j] for i in range(l) for j in range(l))
+    base = Fraction(norm) / (2 * p) - Fraction(l, 24)
+    num = [1] + [0] * upto
+    for a in positive_roots:
+        k = sum(c * r for c, r in zip(v, a))
+        factor = [1] + [0] * upto
+        if k <= upto:
+            factor[k] -= 1
+        num = convolve(num, factor)
+    return base, convolve(num, colored_partitions(l, upto))

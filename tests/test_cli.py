@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,20 @@ def test_cap_exits_4():
     r = run_cli("lambda-list", "--type", "E8", "-p", "6")
     assert r.returncode == 4
     assert "1679616" in r.stderr
+
+
+# A sweep over all 51,840 elements of W(E6) takes about 11 s per process;
+# the orbit walk keeps both calls near start-up time.
+COLD_E6_BUDGET_S = 3.0
+
+
+@pytest.mark.parametrize("kind", ["w", "module"])
+def test_cold_e6_direct_characters_within_budget(kind):
+    start = time.perf_counter()
+    r = run_cli("char", kind, "--type", "E6", "-p", "13", "--order", "3")
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 0, r.stderr
+    assert elapsed < COLD_E6_BUDGET_S, f"char {kind} E6 took {elapsed:.2f} s"
 
 
 def test_weyl_cap_does_not_leak_between_in_process_calls(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,24 @@ from hypothesis import strategies as st
 
 import oracles
 from tripletw import (
+    WEYL_CAP,
+    CapExceeded,
     IncompatibleBases,
     LambdaParam,
     NarrowViolation,
     OrderUnderflow,
     PreconditionError,
     ScaledWeight,
+    act,
     build_model,
     build_root_system,
     central_charge,
     conformal_weight,
     delta_lambda,
+    enum_dominant_in_Q,
     eta_inv_pow,
     fock_char,
+    lambda0_set,
     lattice_char,
     module_char,
     qs_add,
@@ -32,9 +38,10 @@ from tripletw import (
     w_char,
     w_char_affine,
     weyl_dim,
+    weyl_enumerate,
 )
-from tripletw.params import lambda_params, narrow
-from tripletw.qseries import _assemble, colored_partitions, qseries
+from tripletw.params import lambda_params, lambda_x, narrow
+from tripletw.qseries import _assemble, _w_terms, colored_partitions, qseries
 
 
 def test_qseries_submodule_is_a_module():
@@ -359,3 +366,124 @@ def test_lattice_char_truncation_certificate(t, p, lam0, sp, n):
     assert d.denominator == 1 and d >= 0
     for j, c in enumerate(mc.coeffs[: ch.order + 1 - int(d)]):
         assert 0 <= c <= ch.coeffs[j + int(d)]
+
+
+# --- the direct route's orbit walk -------------------------------------------
+
+def _scaled(rs, x):
+    """det |x|^2 for x in fundamental coordinates, summed by hand."""
+    return sum(x[i] * rs.adj[i][j] * x[j] for i in range(rs.rank) for j in range(rs.rank))
+
+
+def _sweep_terms(mp, alpha, lam):
+    """(det |p sigma(v) - u|^2, (-1)^l(sigma)) over all of W, from the
+    enumerated group and its action matrices."""
+    rs, p = mp.rs, mp.p
+    v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
+    u = tuple(s + 1 for s in lam.sp)
+    return [(_scaled(rs, tuple(p * c - b for c, b in zip(act(w, v), u))), w.sign)
+            for w in weyl_enumerate(rs)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_walk_equals_weyl_sweep(data):
+    """Cut above every orbit exponent, the walk yields each element's term
+    exactly once."""
+    rs = build_root_system(data.draw(st.sampled_from(("A1", "A2", "A3", "A4", "D4", "D5"))))
+    p = data.draw(st.integers(2, rs.coxeter_h + 2))
+    lam = LambdaParam(data.draw(st.sampled_from(lambda0_set(rs))),
+                      data.draw(st.tuples(*[st.integers(0, p - 1)] * rs.rank)), p)
+    alpha = data.draw(st.sampled_from(enum_dominant_in_Q(rs, 2, relative=True)))
+    mp = build_model(rs, p)
+    v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
+    u = tuple(s + 1 for s in lam.sp)
+    # |p sigma(v) - u|^2 <= (p|v| + |u|)^2 <= 2 (p^2 |v|^2 + |u|^2)
+    bound = 2 * (p * p * _scaled(rs, v) + _scaled(rs, u))
+    n = -(-bound // (2 * p * rs.det))
+    walk = _w_terms(mp, alpha, lam, n)
+    assert len(walk) == rs.weyl_order
+    assert Counter(walk) == Counter(_sweep_terms(mp, alpha, lam))
+
+
+@pytest.mark.parametrize("t", ("A2", "A3", "A4", "D4"))
+def test_widening_the_cut_changes_nothing(t):
+    """The cut is a truncation certificate: the window at n is a prefix of
+    the window at n + 4, and the walk cut at a top keeps exactly the swept
+    terms up to it, plus the root term."""
+    rs = build_root_system(t)
+    p = rs.coxeter_h
+    mp = build_model(rs, p)
+    den = 2 * p * rs.det
+    lams = lambda_params(mp)
+    for lam in lams[:: max(1, len(lams) // 4)]:
+        for n in (0, 3, 6):
+            for alpha in ((0,) * rs.rank, rs.theta):
+                ch, wide = w_char(mp, alpha, lam, n), w_char(mp, alpha, lam, n + 4)
+                assert (wide.base, wide.coeffs[: n + 1]) == (ch.base, ch.coeffs)
+            ch, wide = module_char(mp, lam, n), module_char(mp, lam, n + 4)
+            assert (wide.base, wide.coeffs[: n + 1]) == (ch.base, ch.coeffs)
+        fock = _scaled(rs, tuple(c - (p - 1) for c in lambda_x(mp, lam).x))
+        for alpha in ((0,) * rs.rank, rs.theta):
+            sweep = _sweep_terms(mp, alpha, lam)
+            root = min(sweep)
+            for n, anchor in ((0, None), (5, None), (-3, fock), (2, fock)):
+                top = (root[0] if anchor is None else anchor) + n * den
+                want = Counter(term for term in sweep if term[0] <= top)
+                want[root] = 1
+                assert Counter(_w_terms(mp, alpha, lam, n, anchor)) == want
+
+
+def _check_weyl_denominator(t):
+    rs = build_root_system(t)
+    h = rs.coxeter_h
+    zero = (0,) * rs.rank
+    for p in sorted({max(2, h - 1), h + 1}):
+        mp = build_model(rs, p)
+        for alpha in (zero, rs.theta):
+            v = tuple(a + 1 for a in alpha)
+            ch = w_char(mp, alpha, LambdaParam(zero, zero, p), 14)
+            want = oracles.weyl_denominator_char(rs.positive_roots, rs.inv_cartan, p, v, 14)
+            assert (ch.base, list(ch.coeffs)) == want, (t, p, alpha)
+
+
+@pytest.mark.parametrize("t", ("A1", "A2", "A3", "A4", "D4", "D5", "E6"))
+def test_w_char_vs_weyl_denominator(t):
+    _check_weyl_denominator(t)
+
+
+@pytest.mark.parametrize("t", ("E7", "E8"))
+def test_w_char_vs_weyl_denominator_above_the_default_cap(t):
+    token = WEYL_CAP.set(10**9)
+    try:
+        _check_weyl_denominator(t)
+    finally:
+        WEYL_CAP.reset(token)
+
+
+def test_direct_characters_enumerate_no_weyl_group(monkeypatch, d4, a2):
+    import tripletw.qseries as qs
+    import tripletw.rootsys as rootsys
+
+    def refuse(rs):
+        raise AssertionError(f"the Weyl group of {rs.type} was enumerated")
+
+    monkeypatch.setattr(qs, "weyl_enumerate", refuse)
+    monkeypatch.setattr(rootsys, "_enumerate", refuse)
+    mp = build_model(d4, 6)
+    lam = LambdaParam((1, 0, 0, 0), (1, 0, 2, 3), 6)
+    # both series as computed by the full Weyl sweep
+    assert w_char(mp, d4.theta, lam, 6) == qseries(
+        Fraction(739, 12), (1, 4, 13, 35, 85, 190, 402))
+    assert module_char(mp, lam, 5) == qseries(
+        Fraction(367, 12), (8, 24, 80, 200, 472, 1008))
+    mp = build_model(a2, 3)
+    lam = LambdaParam((0, 0), (0, 0), 3)
+    token = WEYL_CAP.set(5)
+    try:
+        for call in (lambda: w_char(mp, (0, 0), lam, 4), lambda: module_char(mp, lam, 4)):
+            with pytest.raises(CapExceeded) as ei:
+                call()
+            assert (ei.value.required, ei.value.cap) == (6, 5)
+    finally:
+        WEYL_CAP.reset(token)
