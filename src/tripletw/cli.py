@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from itertools import chain, islice
 
 from .params import (
     LambdaParam,
@@ -60,15 +62,71 @@ def _parse_vec(s: str, rank: int, name: str):
         raise _ArgError(f"{name} needs integers, got {s!r}") from None
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump(obj, ind: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it when nested at indent ind."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is dict or t is list or t is tuple:
+        if not obj:
+            return "{}" if t is dict else "[]"
+        inner = ind + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            body = sep.join([_quote(k) + ": " + _dump(v, inner) for k, v in obj.items()])
+            return "{\n" + inner + body + "\n" + ind + "}"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(str, obj))
+        else:
+            body = sep.join([_dump(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + ind + "]"
+    if isinstance(obj, Iterator):
+        return "".join(_chunks(obj, ind))
+    return json.dumps(obj)
+
+
+def _chunks(obj, ind: str):
+    """The text of _dump(obj, ind) in pieces: an iterator reached through
+    dicts gives one piece per element, pulled only when that piece is due."""
+    if isinstance(obj, Iterator):
+        inner = ind + "  "
+        head = "[\n"
+        for x in obj:
+            yield head + inner + _dump(x, inner)
+            head = ",\n"
+        yield "[]" if head == "[\n" else "\n" + ind + "]"
+    elif type(obj) is dict and obj:
+        inner = ind + "  "
+        head = "{\n"
+        for k, v in obj.items():
+            yield head + inner + _quote(k) + ": "
+            yield from _chunks(v, inner)
+            head = ",\n"
+        yield "\n" + ind + "}"
+    else:
+        yield _dump(obj, ind)
+
+
+def _write_json(obj):
+    """Write obj to stdout as json.dumps(obj, indent=2) and a newline, byte
+    for byte, for dicts with str keys, lists, tuples, ints, bools, None and
+    str; a list given as an iterator is written one element at a time."""
+    write = sys.stdout.write
+    for piece in _chunks(obj, ""):
+        write(piece)
+    write("\n")
 
 
 def cmd_info(args) -> int:
     rs = _parse_type(args.type)
     l0 = lambda0_set(rs)
     if args.output == "json":
-        _emit(_json({
+        _write_json({
             "type": str(rs.type),
             "rank": rs.rank,
             "coxeter_h": rs.coxeter_h,
@@ -84,7 +142,7 @@ def cmd_info(args) -> int:
             "lambda0": [
                 {"weight": list(w), "pq_class": list(pq_class(rs, w))} for w in l0
             ],
-        }))
+        })
     elif args.output == "csv":
         rows = [
             ("type", str(rs.type)),
@@ -133,55 +191,56 @@ def cmd_lambda_list(args) -> int:
         raise _ArgError(f"p must be >= 2, got {args.p}")
     check_lambda_cap(rs, args.p)
     mp = build_model(rs, args.p)
-    rows = []
-    for lam in lambda_params(mp):
-        if args.narrow_only and not narrow(mp, lam.sp):
-            continue
-        dual = dual_param(mp, lam)
-        dmod = dual_module_param(mp, lam)
-        rows.append({
-            "lambda0": list(lam.lambda0),
-            "sp": list(lam.sp),
-            "delta": str(delta_lambda(mp, lam)),
-            "narrow": narrow(mp, lam.sp),
-            "dual_lambda0": list(dual.lambda0),
-            "dual_sp": list(dual.sp),
-            "dual_module_lambda0": list(dmod.lambda0),
-            "dual_module_sp": list(dmod.sp),
-        })
+    params = [(lam, nar) for lam in lambda_params(mp)
+              if (nar := narrow(mp, lam.sp)) or not args.narrow_only]
+    rows = (_lambda_row(mp, lam, nar) for lam, nar in params)
+    # build the first row before writing anything, so that a cap or
+    # precondition error (exits 2-4) leaves stdout empty
+    rows = chain(list(islice(rows, 1)), rows)
     if args.output == "json":
-        _emit(_json({"type": str(rs.type), "p": mp.p, "count": len(rows),
-                     "rows": rows}))
+        _write_json({"type": str(rs.type), "p": mp.p, "count": len(params),
+                     "rows": rows})
     elif args.output == "csv":
-        out = ["lambda0,sp,delta,narrow,dual_lambda0,dual_sp,"
-               "dual_module_lambda0,dual_module_sp"]
+        _emit("lambda0,sp,delta,narrow,dual_lambda0,dual_sp,"
+              "dual_module_lambda0,dual_module_sp\n")
         for r in rows:
-            out.append(",".join([
+            _emit(",".join([
                 _sp_join(r["lambda0"]), _sp_join(r["sp"]), r["delta"],
                 str(r["narrow"]).lower(), _sp_join(r["dual_lambda0"]),
                 _sp_join(r["dual_sp"]), _sp_join(r["dual_module_lambda0"]),
                 _sp_join(r["dual_module_sp"]),
-            ]))
-        _emit("\n".join(out) + "\n")
+            ]) + "\n")
     else:
-        head = (f"{'lambda0':<12} {'sp':<12} {'delta':>10} {'narrow':<6} "
-                f"{'dual':<26} {'dual_module':<26}")
-        out = [f"{rs.type} p={mp.p}: {len(rows)} parameters", head]
+        _emit(f"{rs.type} p={mp.p}: {len(params)} parameters\n"
+              f"{'lambda0':<12} {'sp':<12} {'delta':>10} {'narrow':<6} "
+              f"{'dual':<26} {'dual_module':<26}\n")
         for r in rows:
-            dual = f"{tuple(r['dual_lambda0'])} {tuple(r['dual_sp'])}"
-            dmod = f"{tuple(r['dual_module_lambda0'])} {tuple(r['dual_module_sp'])}"
-            out.append(
-                f"{str(tuple(r['lambda0'])):<12} {str(tuple(r['sp'])):<12} "
-                f"{r['delta']:>10} {str(r['narrow']).lower():<6} "
-                f"{dual:<26} {dmod:<26}"
-            )
-        _emit("\n".join(out) + "\n")
+            dual = f"{r['dual_lambda0']} {r['dual_sp']}"
+            dmod = f"{r['dual_module_lambda0']} {r['dual_module_sp']}"
+            _emit(f"{str(r['lambda0']):<12} {str(r['sp']):<12} "
+                  f"{r['delta']:>10} {str(r['narrow']).lower():<6} "
+                  f"{dual:<26} {dmod:<26}\n")
     return 0
+
+
+def _lambda_row(mp, lam: LambdaParam, nar: bool) -> dict:
+    dual = dual_param(mp, lam)
+    dmod = dual_module_param(mp, lam)
+    return {
+        "lambda0": lam.lambda0,
+        "sp": lam.sp,
+        "delta": str(delta_lambda(mp, lam)),
+        "narrow": nar,
+        "dual_lambda0": dual.lambda0,
+        "dual_sp": dual.sp,
+        "dual_module_lambda0": dmod.lambda0,
+        "dual_module_sp": dmod.sp,
+    }
 
 
 def _emit_series(ch, output: str):
     if output == "json":
-        _emit(_json(to_json_dict(ch)))
+        _write_json(to_json_dict(ch))
     elif output == "csv":
         out = ["n,exponent_num,exponent_den,coeff"]
         for j, c in enumerate(ch.coeffs):
@@ -265,7 +324,7 @@ def cmd_verify(args) -> int:
     else:
         reports = (run_check(args.suite, grid),)
     if args.output == "json":
-        _emit(_json([_report_dict(r) for r in reports]))
+        _write_json([_report_dict(r) for r in reports])
     elif args.output == "csv":
         out = ["check,status,counterexamples,info"]
         for r in reports:

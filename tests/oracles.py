@@ -3,12 +3,14 @@
 Everything here deliberately avoids the package's own algorithms: the
 partition counter uses Euler's pentagonal recurrence instead of the
 product-expansion loop, the multi-colour counts come from repeated
-convolution of that table, and the Weyl denominator product is built from
-the positive roots alone, with no Weyl group.
+convolution of that table, the Weyl denominator product is built from
+the positive roots alone, with no Weyl group, and the A1 module character
+is a published bilateral theta series, with no lattice or orbit walk.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -78,3 +80,34 @@ def weyl_denominator_char(positive_roots, inv_cartan, p, v, upto):
             factor[k] -= 1
         num = convolve(num, factor)
     return base, convolve(num, colored_partitions(l, upto))
+
+
+def a1_module_char(p, lam0, sp, n):
+    """The A1 triplet module character of (lambda0, sp) on the window that
+    module_char returns at order n, from the Feigin-Gainutdinov-Semikhatov-
+    Tipunin bilateral theta form (arXiv:hep-th/0504093):
+
+        eta^-1 sum_j j q^((p j - s)^2 / 4p),  j = 1 + lambda0 (mod 2), j != 0,
+
+    with s = sp + 1.  The window ends n above the leading Fock exponent
+    (p (1 + lambda0) - s)^2 / 4p - 1/24; leading zeros are dropped.
+    Returns (base, coeffs), coeffs[k] being the coefficient of q^(base + k).
+    """
+    s = sp + 1
+    big = (p * (1 + lam0) - s) ** 2 + 4 * p * n  # 4p (window top + 1/24)
+    reach = isqrt(big)
+    terms = []  # (j, m): the term of j starts m below the window top
+    for j in range((s - reach) // p, (s + reach) // p + 1):
+        gap = big - (p * j - s) ** 2
+        if j == 0 or (j - 1 - lam0) % 2 or gap < 0:
+            continue
+        m, r = divmod(gap, 4 * p)
+        if r:
+            raise ValueError(f"theta term j={j} is off the window's coset")
+        terms.append((j, m))
+    depth = max(m for _, m in terms)
+    coeffs = [sum(j * partitions(m - d) for j, m in terms)
+              for d in range(depth, -1, -1)]
+    lead = next(k for k, c in enumerate(coeffs) if c)
+    top = Fraction(big, 4 * p) - Fraction(1, 24)
+    return top - depth + lead, tuple(coeffs[lead:])

@@ -1,10 +1,19 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from tripletw.cli import _write_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +152,13 @@ def test_cap_exits_4():
     r = run_cli("lambda-list", "--type", "E8", "-p", "6")
     assert r.returncode == 4
     assert "1679616" in r.stderr
+    assert r.stdout == ""
+    # E7 passes the parameter cap but not the Weyl cap, which the first
+    # row's dual_param reaches: still nothing on stdout
+    r = run_cli("lambda-list", "--type", "E7", "-p", "2")
+    assert r.returncode == 4
+    assert "2903040" in r.stderr
+    assert r.stdout == ""
 
 
 # A sweep over all 51,840 elements of W(E6) takes about 11 s per process;
@@ -277,3 +293,104 @@ def test_verify_text_output():
                 "--output", "text")
     assert r.returncode == 0
     assert r.stdout.startswith("PASS    lambda_count")
+
+
+@pytest.mark.parametrize("extra,golden", [
+    ((), "lambda_list_a2_p3.json"),
+    (("--output", "csv"), "lambda_list_a2_p3.csv"),
+    (("--output", "text"), "lambda_list_a2_p3.txt"),
+    (("--narrow-only",), "lambda_list_a2_p3_narrow.json"),
+])
+def test_lambda_list_golden(extra, golden):
+    r = run_cli("lambda-list", "--type", "A2", "-p", "3", *extra)
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / golden).read_text()
+
+
+def test_lambda_list_d4_p6_bytes():
+    r = run_cli("lambda-list", "--type", "D4", "-p", "6")
+    assert r.returncode == 0
+    assert len(r.stdout) == 2_616_324
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "d9001de40750422b64de98d0d4ae207c93ce0bcff2fd5e3fb16447c7d3e98a1e")
+
+
+def test_lambda_list_empty_narrow_only():
+    # D4 p=3 < h-1 = 5: no parameter is narrow
+    r = run_cli("lambda-list", "--type", "D4", "-p", "3", "--narrow-only")
+    assert r.returncode == 0
+    assert '"count": 0' in r.stdout
+    assert '"rows": []' in r.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_lambda_list_memory_does_not_grow_with_rows(fmt):
+    # 5,184 rows, 2.6 MB of json: holding the rows or the text takes more
+    from tripletw import build_root_system, weyl_enumerate
+    from tripletw.cli import main
+
+    weyl_enumerate(build_root_system("D4"))  # a cache the command may reuse
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["lambda-list", "--type", "D4", "-p", "6", "--output", fmt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000, f"{fmt}: tracemalloc peak {peak} bytes"
+
+
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "\u00e9\u2603", "\U0001f600"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2**80, max_value=2**80) | _KEYS)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _lists_as_generators(obj):
+    if isinstance(obj, list):
+        return (_lists_as_generators(x) for x in obj)
+    if isinstance(obj, dict):
+        return {k: _lists_as_generators(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(_lists_as_generators(x) for x in obj)
+    return obj
+
+
+def _written(obj) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_json(obj)
+    return out.getvalue()
+
+
+@given(_VALUES)
+@example({"rows": []})
+@example([[], {}, (), [1, -2**70, True, None, "x"]])
+def test_json_writer_matches_json_dumps(obj):
+    want = json.dumps(obj, indent=2) + "\n"
+    assert _written(obj) == want
+    assert _written(_lists_as_generators(obj)) == want
+
+
+def test_json_writer_streams_iterator_elements():
+    out = io.StringIO()
+    written_before = []
+
+    def rows():
+        for i in range(3):
+            written_before.append(out.getvalue().count('"i"'))
+            yield {"i": i}
+
+    with contextlib.redirect_stdout(out):
+        _write_json({"count": 3, "rows": rows()})
+    # each row is on stdout before the next one is built
+    assert written_before == [0, 1, 2]
+    want = {"count": 3, "rows": [{"i": i} for i in range(3)]}
+    assert out.getvalue() == json.dumps(want, indent=2) + "\n"

@@ -262,6 +262,16 @@ def test_module_char_a1_p2_vs_double_sum_oracle(a1):
     assert ch.coeffs[:3] == (1, 0, 1)
 
 
+@pytest.mark.parametrize("p", range(2, 8))
+def test_module_char_a1_vs_fgst_theta_form(a1, p):
+    mp = build_model(a1, p)
+    for lam0 in (0, 1):
+        for sp in range(p):
+            ch = module_char(mp, LambdaParam((lam0,), (sp,), p), 20)
+            want = oracles.a1_module_char(p, lam0, sp, 20)
+            assert (ch.base, ch.coeffs) == want, (lam0, sp)
+
+
 def test_module_char_leading_dimension(a1, a2):
     mp = build_model(a2, 3)
     lam = LambdaParam((1, 0), (0, 0), 3)
