@@ -31,9 +31,10 @@ from .rootsys import (
     root_action,
     root_coords_int,
     root_to_fund,
+    weyl_by_matrix,
     weyl_compose,
-    weyl_enumerate,
     weyl_inverse,
+    weyl_matrix,
 )
 
 
@@ -125,35 +126,30 @@ def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, Weyl
 
     omega is the minuscule-or-zero representative of the class of
     lambda0 + rho; sigma_c is the unique Weyl element sending exactly the
-    positive roots pairing to 0 with omega to positive roots, found once per
-    (type, lambda0) by exhaustive search.  The search enumerates W, so the
-    Weyl cap is checked on every call, cached or not.
+    positive roots pairing to 0 with omega to positive roots, so sigma_c^{-1}
+    rho has that sign pattern.  Every positive root g has (g, omega) in
+    {0, 1} and height <= h - 1, so rho - h omega has it too; reflecting that
+    weight into the dominant chamber spells sigma_c^{-1}.  The element is
+    looked up in W, so the Weyl cap is checked on every call, cached or not.
     """
     check_weyl_cap(rs)
     key = (rs.type, lambda0)
     got = _CHAMBER_CACHE.get(key)
     if got is None:
-        shifted = tuple(c + 1 for c in lambda0)
-        omega = lambda0_rep(rs, shifted)
-        matches = []
-        for w in weyl_enumerate(rs):
-            rw = root_action(rs, w)
-            ok = True
-            for g in rs.positive_roots:
-                pair = dot(g, omega)
-                if pair not in (0, 1):
-                    raise RuntimeError(f"class representative {omega} is not minuscule")
-                positive = all(c >= 0 for c in mat_vec(rw, g))
-                if positive != (pair == 0):
-                    ok = False
-                    break
-            if ok:
-                matches.append(w)
-        if len(matches) != 1:
+        omega = lambda0_rep(rs, tuple(c + 1 for c in lambda0))
+        x = [r - rs.coxeter_h * o for r, o in zip(rs.rho, omega)]
+        word = []
+        while min(x) < 0:
+            i = next(j for j, c in enumerate(x) if c < 0)
+            x = [c - x[i] * a for c, a in zip(x, rs.cartan[i])]
+            word.append(i + 1)
+        sigma_c_inv = weyl_by_matrix(rs, weyl_matrix(rs.cartan, word))
+        moved_rho = act(sigma_c_inv, rs.rho)
+        if any((dot(g, moved_rho) > 0) != (dot(g, omega) == 0)
+               for g in rs.positive_roots):
             raise RuntimeError(
-                f"chamber element for lambda0={lambda0} not unique: {len(matches)} found"
-            )
-        got = (omega, matches[0], weyl_inverse(rs, matches[0]))
+                f"chamber element for lambda0={lambda0} has the wrong sign pattern")
+        got = (omega, weyl_inverse(rs, sigma_c_inv), sigma_c_inv)
         _CHAMBER_CACHE[key] = got
     return got
 
@@ -200,7 +196,7 @@ def mu_lambda(mp: ModelParams, lam: LambdaParam) -> AffineWeight:
     sigma_c(-p omega + s + rho) - rho, with sigma_c, omega from lambda0."""
     rs = mp.rs
     _check_p(mp, lam.p)
-    check_weyl_cap(rs)  # a cached weight came from a Weyl search too
+    check_weyl_cap(rs)  # a cached weight came from a Weyl lookup too
     key = (rs.type, mp.p, lam.lambda0, lam.sp)
     got = _MU_CACHE.get(key)
     if got is not None:

@@ -352,12 +352,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp_, order_default=None, with_p=True):
+    def common(sp_, order_default=None):
         sp_.add_argument("--type", required=True,
                          help="Cartan type, e.g. A2, D4, E6")
-        if with_p:
-            sp_.add_argument("-p", dest="p", type=int, required=True,
-                             help="lattice rescaling parameter, an integer >= 2")
+        sp_.add_argument("-p", dest="p", type=int, required=True,
+                         help="lattice rescaling parameter, an integer >= 2")
         if order_default is not None:
             sp_.add_argument("--order", type=int, default=order_default,
                              help=f"window length (default {order_default})")

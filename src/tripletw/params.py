@@ -51,9 +51,6 @@ class ModelParams:
     k: int            # level p - h
     k_dual: Fraction  # level 1/p - h
 
-    def __hash__(self):
-        return hash((self.rs.type, self.p))
-
 
 @dataclass(frozen=True)
 class ScaledWeight:
@@ -119,23 +116,17 @@ def _check_p(mp: ModelParams, other_p: int):
 
 
 def lambda0_set(rs: RootSystem) -> tuple[IntVec, ...]:
-    """Representatives of P/Q: zero plus the minuscule fundamental weights.
+    """Representatives of P/Q: zero, then the minuscule fundamental weights.
 
-    A_l: 0 and all omega_i; D_l: 0, omega_1, omega_{l-1}, omega_l;
-    E6: 0, omega_1, omega_6; E7: 0, omega_7; E8: 0 only.
+    omega_i is minuscule exactly when theta has mark 1 at i; every positive
+    root is at most theta coefficientwise, so (g, omega) is 0 or 1 for each
+    positive root g and each weight listed.
     """
     l = rs.rank
-    fam = rs.type.family
-    if fam == "A":
-        idx = list(range(1, l + 1))
-    elif fam == "D":
-        idx = [1, l - 1, l]
-    else:
-        idx = {6: [1, 6], 7: [7], 8: []}[l]
     out = [(0,) * l]
-    for i in idx:
-        out.append(tuple(1 if j == i - 1 else 0 for j in range(l)))
-    if len(out) != rs.det or any(dot(w, rs.theta_root) != 1 for w in out[1:]):
+    out += [tuple(int(j == i) for j in range(l))
+            for i, mark in enumerate(rs.theta_root) if mark == 1]
+    if len(out) != rs.det:
         raise RuntimeError(f"{out} are not |P/Q| = {rs.det} minuscule-or-zero weights")
     return tuple(out)
 

@@ -123,9 +123,6 @@ class RootSystem:
     def rank(self) -> int:
         return self.type.rank
 
-    def __hash__(self):
-        return hash(self.type)
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -270,7 +267,7 @@ def check_weyl_cap(rs: RootSystem):
     """Raise CapExceeded when the Weyl group of rs is larger than WEYL_CAP.
 
     The one cap check: `_enumerate`, `weyl_compose` and `weyl_inverse` make
-    it before their cache lookups, and so do the chamber search and
+    it before their cache lookups, and so do the chamber construction and
     `mu_lambda` in `affine`.
     """
     cap = WEYL_CAP.get()

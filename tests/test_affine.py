@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,8 +29,10 @@ from tripletw import (
     weyl_enumerate,
     y_sigma,
 )
-from tripletw.params import lambda0_set, lambda_params, lambda_x, narrow
-from tripletw.rootsys import weyl_inverse
+from tripletw._exact import dot, mat_vec
+from tripletw.affine import _chamber
+from tripletw.params import lambda0_rep, lambda0_set, lambda_params, lambda_x, narrow
+from tripletw.rootsys import root_action, weyl_inverse
 from tripletw.qseries import _fock_scaled
 
 
@@ -255,3 +259,42 @@ def test_cached_chamber_data_obeys_a_lower_weyl_cap(a2):
     finally:
         WEYL_CAP.reset(token)
     assert run_check("remark311_iff", grid).status == "pass"
+
+
+def _chamber_by_search(rs, omega):
+    """The unique Weyl element sending exactly the positive roots orthogonal
+    to omega to positive roots, found by sweeping W."""
+    matches = []
+    for w in weyl_enumerate(rs):
+        rw = root_action(rs, w)
+        if all(all(c >= 0 for c in mat_vec(rw, g)) == (dot(g, omega) == 0)
+               for g in rs.positive_roots):
+            matches.append(w)
+    assert len(matches) == 1
+    return matches[0]
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6"])
+def test_constructed_chamber_element_matches_a_search_of_w(t):
+    rs = build_root_system(t)
+    for lam0 in lambda0_set(rs):
+        omega = lambda0_rep(rs, tuple(c + 1 for c in lam0))
+        assert all(dot(g, omega) in (0, 1) for g in rs.positive_roots)
+        want = _chamber_by_search(rs, omega)
+        assert _chamber(rs, lam0) == (omega, want, weyl_inverse(rs, want))
+
+
+def test_chamber_construction_fills_no_root_action_cache():
+    # a fresh interpreter, so no other test has filled the cache
+    code = (
+        "import tripletw as tw\n"
+        "from tripletw import rootsys\n"
+        "mp = tw.build_model(tw.build_root_system('D5'), 8)\n"
+        "for lam0 in tw.lambda0_set(mp.rs):\n"
+        "    tw.lemma310_construct(mp, (0,) * 5, lam0)\n"
+        "print(len(rootsys._ROOT_ACTION_CACHE))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n"

@@ -10,11 +10,17 @@ fails here instead.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +95,26 @@ def test_a_traced_run_reports_every_layer_metric(tracing):
     want = {name for name, *_ in tracing.LAYER_METRICS}
     want |= {metric for *_, metric in tracing.CACHES}
     assert want <= set(metrics)
+
+
+def test_a_traced_benchmark_run_ends_with_a_complete_result(tmp_path):
+    # run on a copy, so the checkout's bench/ gets no results written
+    (tmp_path / "bench").mkdir()
+    for f in (ROOT / "bench").glob("*.py"):
+        shutil.copy(f, tmp_path / "bench")
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    spec = ROOT / "BENCHMARK.json"
+    before = (spec.read_bytes(), spec.stat().st_mtime_ns)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "affine_orbits",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), r.stderr
+    want = {m["name"] for m in json.loads(before[0])["per_layer"]}
+    assert want <= set(result["metrics"])
+    assert (spec.read_bytes(), spec.stat().st_mtime_ns) == before

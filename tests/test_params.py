@@ -139,14 +139,21 @@ def test_lemma216_matches_narrow(t, p):
         assert lemma216_cond1(mp, lam.sp, alt) == want
 
 
-@pytest.mark.parametrize(
-    "t,n", [("A1", 2), ("A2", 3), ("A3", 4), ("D4", 4), ("E6", 3), ("E7", 2), ("E8", 1)]
-)
+# The minuscule fundamental weights in Bourbaki numbering (1-based).
+MINUSCULE = {
+    **{f"A{l}": tuple(range(1, l + 1)) for l in range(1, 9)},
+    **{f"D{l}": (1, l - 1, l) for l in range(4, 9)},
+    "E6": (1, 6), "E7": (7,), "E8": (),
+}
+
+
+@pytest.mark.parametrize("t,n", [(t, 1 + len(idx)) for t, idx in MINUSCULE.items()])
 def test_lambda0_set_sizes(t, n):
     rs = build_root_system(t)
     l0 = lambda0_set(rs)
     assert len(l0) == n == rs.det
-    assert l0[0] == (0,) * rs.rank
+    assert l0 == ((0,) * rs.rank,) + tuple(
+        tuple(int(j == i - 1) for j in range(rs.rank)) for i in MINUSCULE[t])
     assert len({pq_class(rs, w) for w in l0}) == n
 
 
