@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from operator import mul
+from math import isqrt, lcm
+from operator import index, mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -128,38 +128,60 @@ def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
             tuple(tuple(a[i]) for i in range(n)))
 
 
-def lattice_points(gram, center, bound, lower=None):
-    """Every integer vector r with (r - c)^T G (r - c) <= B, and r_i >= lower_i
-    when `lower` is given; each exactly once, in a fixed order.
+def lattice_points(gram, num, den, bound, lower=None):
+    """Every integer vector r with q = (den r - num)^T G (den r - num) <= bound,
+    and r_i >= lower_i when `lower` is given, as the pair (r, q); each r
+    exactly once, in a fixed order.
 
-    Fincke-Pohst enumeration (Math. Comp. 44, 1985) on an exact LDL^T of the
-    Gram matrix: coordinates are fixed from the last one down, and each
-    interval |b r_i - a| <= t, with a/b its centre given the coordinates
-    already fixed, takes t from sqrt_floor of the remaining budget.  Boundary
-    points are included; nothing is evaluated in floating point.
+    G is a symmetric positive definite integer matrix, num an integer vector
+    and den > 0 and bound integers, so the ellipsoid is centred at num / den
+    and q is an exact int.  Fincke-Pohst enumeration (Math. Comp. 44, 1985)
+    on the exact G = U^T D U of _ldl: coordinates are fixed from the last one
+    down.  With k the common denominator of the u_ij and m that of the d_i,
+    s q = sum_i e_i (b r_i - a_i)^2 with e_i = m d_i, b = k den and the a_i
+    integers, s = m k^2; so each node takes one isqrt on an int budget, and
+    no Fraction is made after set-up.  Boundary points are included.
     """
-    d, u = _ldl(tuple(tuple(row) for row in gram))
-    n = len(d)
-    c = tuple(Fraction(x) for x in center)
-    budget = Fraction(bound)
-    if len(c) != n or (lower is not None and len(lower) != n):
+    gram = tuple(tuple(index(x) for x in row) for row in gram)
+    n = len(gram)
+    num = tuple(index(x) for x in num)
+    den = index(den)
+    bound = index(bound)
+    if any(len(row) != n for row in gram) or len(num) != n or (
+            lower is not None and len(lower) != n):
         raise ValueError("dimension mismatch")
-    if budget < 0:
+    if den <= 0:
+        raise ValueError("den must be positive")
+    d, u = _ldl(gram)
+    if bound < 0:
         return
+    k = lcm(*(x.denominator for row in u for x in row))
+    m = lcm(*(x.denominator for x in d))
+    e = tuple(int(x * m) for x in d)
+    ku = tuple(tuple(int(x * k) for x in row[i + 1:]) for i, row in enumerate(u))
+    # a_i = c_i - den sum_{j>i} k u_ij r_j, with c_i = sum_{j>=i} k u_ij num_j
+    c = tuple(k * num[i] + sum(map(mul, ku[i], num[i + 1:])) for i in range(n))
+    b = k * den
+    s = m * k * k
+    budget = s * bound
     r = [0] * n
 
     def rec(i, left):
-        m = c[i] - sum(u[i][j] * (r[j] - c[j]) for j in range(i + 1, n))
-        a, b = m.numerator, m.denominator
-        t = sqrt_floor(left / d[i] * b * b)
+        a = c[i] - den * sum(map(mul, ku[i], r[i + 1:]))
+        t = isqrt(left // e[i])
         lo = -((t - a) // b)
         if lower is not None and lower[i] > lo:
             lo = lower[i]
         for x in range(lo, (a + t) // b + 1):
             r[i] = x
-            if i == 0:
-                yield tuple(r)
-            else:
-                yield from rec(i - 1, left - d[i] * (x - m) ** 2)
+            rest = left - e[i] * (b * x - a) ** 2
+            if i:
+                yield from rec(i - 1, rest)
+                continue
+            q, frac = divmod(budget - rest, s)
+            if frac:
+                raise RuntimeError(f"form value {budget - rest}/{s} at {tuple(r)} "
+                                   "is not an integer")
+            yield tuple(r), q
 
     yield from rec(n - 1, budget)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 
 from ._exact import IntVec, dot, lattice_points, mat_vec, sqrt_upper
 from .affine import affine_exponent
@@ -35,10 +36,7 @@ from .params import (
 )
 from .rootsys import (
     check_weyl_cap,
-    fund_to_root,
     in_root_lattice,
-    norm_sq,
-    root_to_fund,
     weyl_dim,
     weyl_enumerate,
 )
@@ -231,6 +229,11 @@ def _scaled_norm(rs, x) -> int:
     return dot(x, mat_vec(rs.adj, x))
 
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"window length n = {n} is negative")
+
+
 def _fock_scaled(mp: ModelParams, x: IntVec) -> int:
     """2 p det times the leading Fock exponent |x - (p-1) rho|^2 / 2p."""
     shifted = tuple(c - (mp.p - 1) for c in x)
@@ -239,6 +242,7 @@ def _fock_scaled(mp: ModelParams, x: IntVec) -> int:
 
 def fock_char(mp: ModelParams, mu: ScaledWeight, n: int) -> QSeries:
     """Character of the Fock module of mu, exact through its base + n."""
+    _check_n(n)
     _check_p(mp, mu.p)
     rs = mp.rs
     den = 2 * mp.p * rs.det
@@ -300,16 +304,24 @@ def _w_terms(mp: ModelParams, alpha, lam: LambdaParam, n: int,
 def _assemble(mp: ModelParams, terms, n: int, anchor_scaled: int | None = None) -> QSeries:
     """Sum of signed eta-quotient monomials, exact through anchor + n.
 
-    terms: iterable of (scaled exponent, multiplicity); all exponents must
-    lie on one integer-step coset of the scaled grid.
+    terms: iterable of (scaled exponent, multiplicity), consumed once; all
+    exponents must lie on one integer-step coset of the scaled grid.  The
+    multiplicities are first summed per exponent, so the eta power is
+    convolved once per distinct exponent, not once per term.  An exponent
+    whose multiplicities cancel still sets the least offset, and with it the
+    window.
     """
     rs = mp.rs
     den = 2 * mp.p * rs.det
-    terms = list(terms)
-    if anchor_scaled is None:
-        anchor_scaled = min(s for s, _ in terms)
-    offsets = []
+    hist = {}
     for s, m in terms:
+        hist[s] = hist.get(s, 0) + m
+    if not hist:
+        raise RuntimeError("no terms to assemble")
+    if anchor_scaled is None:
+        anchor_scaled = min(hist)
+    offsets = []
+    for s, m in hist.items():
         d = s - anchor_scaled
         if d % den:
             raise RuntimeError(f"exponent {s}/{den} is off the common integer grid "
@@ -323,7 +335,7 @@ def _assemble(mp: ModelParams, terms, n: int, anchor_scaled: int | None = None) 
     eta = colored_partitions(rs.rank, width)
     out = [0] * (width + 1)
     for off, m in offsets:
-        if off > n:
+        if off > n or not m:
             continue
         for pos in range(off - lo, width + 1):
             out[pos] += m * eta[pos - (off - lo)]
@@ -335,6 +347,7 @@ def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     """Signed Weyl sum character of the pair (alpha, lambda), direct form:
     sum over sigma of (-1)^l(sigma) q^(|p sigma(v) - u|^2 / 2p) over eta^l,
     with v = alpha + lambda0 + rho and u = s + rho."""
+    _check_n(n)
     _check_p(mp, lam.p)
     rs = mp.rs
     alpha = _require_alpha(rs, alpha)
@@ -345,6 +358,7 @@ def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
 def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     """The same character assembled from affine-orbit exponents; defined for
     narrow lambda and equal to w_char term by term."""
+    _check_n(n)
     _check_p(mp, lam.p)
     alpha = _require_alpha(mp.rs, alpha)
     require_narrow(mp, lam.sp)
@@ -369,34 +383,38 @@ def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):
     """
     rs = mp.rs
     p = mp.p
+    det = rs.det
     u = tuple(s + 1 for s in lam.sp)
-    u_sq = Fraction(_scaled_norm(rs, u), rs.det)
-    anchor = Fraction(_fock_scaled(mp, lambda_x(mp, lam).x), 2 * p * rs.det)
-    t_star = anchor + n  # top of the window, with the eta offset removed
-    two_p_t = max(2 * p * t_star, Fraction(0))
-    cap = (sqrt_upper(u_sq) + sqrt_upper(two_p_t)) / p
+    u_det = _scaled_norm(rs, u)  # det |u|^2
+    anchor_scaled = _fock_scaled(mp, lambda_x(mp, lam).x)
+    # 2 p det t_star, where t_star = anchor + n is the window top without the
+    # eta offset
+    top_det = anchor_scaled + 2 * p * det * n
+    two_p_t = max(Fraction(top_det, det), Fraction(0))
+    cap = (sqrt_upper(Fraction(u_det, det)) + sqrt_upper(two_p_t)) / p
     lam0 = lam.lambda0
-    for v in _boxes(rs.inv_cartan, cap * cap, tuple(l0 + 1 for l0 in lam0)):
+    for v, v_det in _boxes(rs.adj, floor(det * cap * cap), tuple(l0 + 1 for l0 in lam0)):
         alpha = tuple(c - l0 - 1 for c, l0 in zip(v, lam0))
         if not in_root_lattice(rs, alpha):
             continue
-        v_sq = norm_sq(rs, v)
-        # drop test: p|v| >= |u| and (p|v| - |u|)^2 > 2p * t_star
-        a = p * p * v_sq + u_sq - 2 * p * t_star
-        if p * p * v_sq >= u_sq and a > 0 and a * a > 4 * p * p * v_sq * u_sq:
+        # drop test: p|v| >= |u| and (p|v| - |u|)^2 > 2p * t_star, times det
+        pv = p * p * v_det
+        a = pv + u_det - top_det
+        if pv >= u_det and a > 0 and a * a > 4 * pv * u_det:
             continue
         yield alpha
 
 
 def _boxes(gram, bound, lower):
     # kept by name: bench/tracing.py counts the candidates scanned here
-    return lattice_points(gram, (0,) * len(lower), bound, lower)
+    return lattice_points(gram, (0,) * len(lower), 1, bound, lower)
 
 
 def module_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     """Graded dimensions of the full module of lambda: the sum over dominant
     alpha in Q of dim L(alpha + lambda0) times the (alpha, lambda) Weyl sum,
     truncated by the certified exponent bound."""
+    _check_n(n)
     _check_p(mp, lam.p)
     rs = mp.rs
     check_weyl_cap(rs)
@@ -414,27 +432,32 @@ def lattice_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     """Graded dimensions of the lattice module of lambda: Fock characters
     summed over exactly those sqrt(p) Q translates whose leading exponent
     lies in the window."""
+    _check_n(n)
     _check_p(mp, lam.p)
     rs = mp.rs
     p = mp.p
-    den = 2 * p * rs.det
+    det = rs.det
     x_lam = lambda_x(mp, lam).x
     center = tuple(c - (p - 1) for c in x_lam)  # x_lambda - (p-1) rho
     anchor_scaled = _scaled_norm(rs, center)
-    top_scaled = anchor_scaled + n * den
-    # x = center - p C r = -p C (r - c) with c = C^-1 center / p, so
-    # det |x|^2 <= top is (r - c)^T C (r - c) <= top / (p^2 det)
-    c = tuple(x / p for x in fund_to_root(rs, center))
-    terms = []
-    for r in _signed_boxes(rs.cartan, c, Fraction(top_scaled, p * p * rs.det)):
-        x = tuple(a - p * b for a, b in zip(center, root_to_fund(rs, r)))
-        terms.append((_scaled_norm(rs, x), 1))
-    return _assemble(mp, terms, n, anchor_scaled=anchor_scaled)
+    top_scaled = anchor_scaled + n * 2 * p * det
+    # x = center - p C r = -p C (r - c) with c = adj center / (p det), so
+    # det |x|^2 = q / det for q = (p det r - adj center)^T C (p det r - adj center)
+    num = mat_vec(rs.adj, center)
+
+    def terms():
+        for _, q in _signed_boxes(rs.cartan, num, p * det, det * top_scaled):
+            scaled, rem = divmod(q, det)
+            if rem:
+                raise RuntimeError(f"lattice norm {q}/{det} is off the scaled grid")
+            yield scaled, 1
+
+    return _assemble(mp, terms(), n, anchor_scaled=anchor_scaled)
 
 
-def _signed_boxes(gram, center, bound):
+def _signed_boxes(gram, num, den, bound):
     # kept by name: bench/tracing.py counts the lattice points scanned here
-    return lattice_points(gram, center, bound)
+    return lattice_points(gram, num, den, bound)
 
 
 def to_json_dict(a: QSeries) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 
 from ._exact import (
     IntMat,
@@ -227,14 +227,6 @@ def pair_with_rho(rs: RootSystem, mu) -> Fraction:
     """(mu, rho), computed through 2 rho = sum of positive roots."""
     s = dot(mu, rs.two_rho_root)
     return Fraction(s, 2) if isinstance(s, int) else s / 2
-
-
-def fund_to_root(rs: RootSystem, mu) -> tuple:
-    """Simple-root coordinates of a weight given in fundamental coordinates."""
-    l = rs.rank
-    raw = mat_vec(rs.adj, mu)
-    return tuple(Fraction(raw[i], rs.det) if isinstance(raw[i], int)
-                 else raw[i] / rs.det for i in range(l))
 
 
 def root_to_fund(rs: RootSystem, r):
@@ -456,12 +448,10 @@ def enum_dominant_in_Q(rs: RootSystem, bound, relative: bool = False) -> tuple[I
         raise ValueError("bound must be nonnegative")
     rho_sq = norm_sq(rs, rs.rho)
     cap = b + (sqrt_upper(rho_sq) if relative else 0)
-    cap_sq = cap * cap
     found = []
-    for v in _int_boxes(rs.inv_cartan, cap_sq):
-        vsq = norm_sq(rs, v)
+    for v, v_det in _int_boxes(rs.adj, floor(rs.det * cap * cap)):
         if relative:
-            a = vsq - rho_sq - b * b
+            a = Fraction(v_det, rs.det) - rho_sq - b * b
             if a > 0 and a * a > 4 * b * b * rho_sq:
                 continue
         alpha = tuple(c - 1 for c in v)
@@ -473,4 +463,4 @@ def enum_dominant_in_Q(rs: RootSystem, bound, relative: bool = False) -> tuple[I
 
 def _int_boxes(gram, bound):
     # kept by name: bench/tracing.py counts the weights scanned here
-    return lattice_points(gram, (0,) * len(gram), bound, (1,) * len(gram))
+    return lattice_points(gram, (0,) * len(gram), 1, bound, (1,) * len(gram))

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine criteria, one test each, wall-clock budgets pinned.
+"""Acceptance gate: ten criteria, one test each, wall-clock budgets pinned.
 
 Every check is exact rational arithmetic; there are no tolerances anywhere.
 Each test prints its own pass line with the measured runtime so the gate can
@@ -146,3 +146,14 @@ def test_c9_cli_contract():
         assert first.stdout == second.stdout
         assert first.stdout == (GOLDEN / golden).read_text()
     clock.done("criterion 9: CLI verify gate and byte-stable golden output")
+
+
+def test_c10_submodule_bound_on_e6():
+    # all 192 = |P/Q| p^6 parameters of E6 at p = 2, through offset 3
+    clock = _Clock(30)
+    grid = GridSpec(types=("E6",), p_values=(2,), order=3)
+    assert grid.cross_order == 3
+    rs = build_root_system("E6")
+    assert len(lambda_params(build_model(rs, 2))) == 192
+    _passed(run_check("submodule_bound", grid))
+    clock.done("criterion 10: module below lattice coefficientwise on E6")

@@ -341,6 +341,43 @@ def test_lambda_list_memory_does_not_grow_with_rows(fmt):
     assert peak < 4_000_000, f"{fmt}: tracemalloc peak {peak} bytes"
 
 
+# The child reports its own peak RSS on stderr as it exits, where the kernel
+# exposes it; `python -m tripletw` would give the parent no way to read it.
+_E6_LATTICE_CHILD = """
+import atexit, runpy, sys
+
+def report():
+    try:
+        with open("/proc/self/status") as f:
+            hwm = [line for line in f if line.startswith("VmHWM:")]
+    except OSError:
+        return
+    sys.stderr.write(hwm[0] if hwm else "")
+
+atexit.register(report)
+sys.argv = ["tripletw", "char", "lattice", "--type", "E6", "-p", "13", "--order", "6"]
+runpy.run_module("tripletw", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_e6_lattice_window_is_fast_and_small():
+    # 915,875 lattice points for 439 coefficients, from a window anchored at
+    # |(p-1) rho|^2 / 2p = 432
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-c", _E6_LATTICE_CHILD],
+                       capture_output=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == (
+        "24efd9f3d3229b787c93b07d0bd21eba80c70923fcbd61c48ee352e045b1b581")
+    assert elapsed < 8, f"took {elapsed:.1f} s"
+    hwm = [line for line in r.stderr.decode().splitlines() if line.startswith("VmHWM:")]
+    if not hwm:
+        pytest.skip("no /proc/self/status: the peak RSS is unchecked")
+    kb = int(hwm[0].split()[1])
+    assert kb < 40 * 1024, f"peak RSS {kb} kB"
+
+
 _KEYS = st.text(max_size=6) | st.sampled_from(
     ['"', "\\", "\n\t\x00\x1f", "\u00e9\u2603", "\U0001f600"])
 _SCALARS = (st.none() | st.booleans() | st.integers()

@@ -10,30 +10,35 @@ from tripletw import build_root_system, pairing
 from tripletw._exact import dot, lattice_points, mat_mul, mat_vec
 from tripletw.params import _int_vec
 
-# (name, Gram matrix, its inverse)
+# (name, integer Gram matrix, its inverse): the Cartan matrix and the
+# adjugate det C^-1, whose inverse is C / det
 GRAMS = [
     g
     for rs in map(build_root_system, ("A1", "A2", "A3", "D4"))
     for g in ((f"{rs.type} cartan", rs.cartan, rs.inv_cartan),
-              (f"{rs.type} inv_cartan", rs.inv_cartan, rs.cartan))
+              (f"{rs.type} adj", rs.adj,
+               tuple(tuple(Fraction(x, rs.det) for x in row) for row in rs.cartan)))
 ]
 
 
-def quad(gram, r, c):
-    y = [a - b for a, b in zip(r, c)]
+def form(gram, r, num, den):
+    y = [den * a - b for a, b in zip(r, num)]
     return sum(y[i] * gram[i][j] * y[j] for i in range(len(y)) for j in range(len(y)))
 
 
-def brute(gram, c, bound, lower):
-    """Filter a box that contains the ellipsoid: for a positive definite G,
-    y_i^2 <= B (G^-1)_ii, and every (G^-1)_ii here is at most 2."""
-    half = isqrt(ceil(2 * bound)) + 1 if bound >= 0 else 0
-    ranges = [range(floor(ci) - half, ceil(ci) + half + 1) for ci in c]
-    return {
-        r for r in product(*ranges)
-        if quad(gram, r, c) <= bound
-        and (lower is None or all(a >= b for a, b in zip(r, lower)))
-    }
+def brute(gram, num, den, bound, lower):
+    """Filter a box that contains the ellipsoid, as {r: form value}: for a
+    positive definite G, (r_i - c_i)^2 <= B (G^-1)_ii / den^2, and every
+    (G^-1)_ii here is at most 2."""
+    half = isqrt(max(2 * bound, 0) // (den * den)) + 1
+    ranges = [range(floor(Fraction(a, den)) - half, ceil(Fraction(a, den)) + half + 1)
+              for a in num]
+    out = {}
+    for r in product(*ranges):
+        q = form(gram, r, num, den)
+        if q <= bound and (lower is None or all(a >= b for a, b in zip(r, lower))):
+            out[r] = q
+    return out
 
 
 @st.composite
@@ -41,22 +46,22 @@ def regions(draw):
     name, gram, _ = draw(st.sampled_from(GRAMS))
     n = len(gram)
     den = draw(st.integers(1, 6))
-    c = tuple(Fraction(draw(st.integers(-3 * den, 3 * den)), den) for _ in range(n))
+    num = tuple(draw(st.integers(-3 * den, 3 * den)) for _ in range(n))
     kind = draw(st.sampled_from(("zero", "random", "hit", "negative")))
     if kind == "zero":
-        bound = Fraction(0)
+        bound = 0
     elif kind == "random":
-        bound = Fraction(draw(st.integers(0, 12)), draw(st.integers(2, 6)))
+        bound = draw(st.integers(0, 6 * den * den))
     elif kind == "negative":
-        bound = Fraction(-draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+        bound = -draw(st.integers(1, 5))
     else:
         # a bound attained exactly by a lattice point near the centre
-        r0 = tuple(round(ci) + draw(st.integers(-1, 1)) for ci in c)
-        bound = quad(gram, r0, c)
+        r0 = tuple(round(Fraction(a, den)) + draw(st.integers(-1, 1)) for a in num)
+        bound = form(gram, r0, num, den)
     lower = None
     if draw(st.booleans()):
-        lower = tuple(floor(ci) + draw(st.integers(-2, 1)) for ci in c)
-    return name, gram, c, bound, lower
+        lower = tuple(floor(Fraction(a, den)) + draw(st.integers(-2, 1)) for a in num)
+    return name, gram, num, den, bound, lower
 
 
 def test_inverse_gram_diagonals_fit_the_brute_box():
@@ -67,31 +72,44 @@ def test_inverse_gram_diagonals_fit_the_brute_box():
 @settings(max_examples=100, deadline=None)
 @given(regions())
 def test_lattice_points_match_brute_box(region):
-    name, gram, c, bound, lower = region
-    got = list(lattice_points(gram, c, bound, lower))
-    assert len(got) == len(set(got)), f"{name}: a point was yielded twice"
-    assert set(got) == brute(gram, c, bound, lower), name
-    assert all(type(x) is int for r in got for x in r)
-    assert got == list(lattice_points(gram, c, bound, lower))  # fixed order
+    name, gram, num, den, bound, lower = region
+    got = list(lattice_points(gram, num, den, bound, lower))
+    points = [r for r, _ in got]
+    assert len(points) == len(set(points)), f"{name}: a point was yielded twice"
+    assert dict(got) == brute(gram, num, den, bound, lower), name
+    assert all(type(x) is int for r, q in got for x in (*r, q))
+    assert got == list(lattice_points(gram, num, den, bound, lower))  # fixed order
 
 
 def test_lattice_points_boundary_and_empty_cases():
     a2 = build_root_system("A2").cartan
     # |r|^2 <= 2 in the A2 root lattice: the origin and the six roots
-    assert len(list(lattice_points(a2, (0, 0), 2))) == 7
-    assert list(lattice_points(a2, (0, 0), 0)) == [(0, 0)]
-    assert list(lattice_points(a2, (Fraction(1, 2), 0), 0)) == []
-    assert list(lattice_points(a2, (0, 0), -1)) == []
-    assert list(lattice_points(a2, (0, 0), 2, lower=(1, 1))) == [(1, 1)]
+    got = list(lattice_points(a2, (0, 0), 1, 2))
+    assert len(got) == 7 and sorted(q for _, q in got) == [0] + [2] * 6
+    assert list(lattice_points(a2, (0, 0), 1, 0)) == [((0, 0), 0)]
+    assert list(lattice_points(a2, (1, 0), 2, 0)) == []  # centre (1/2, 0)
+    assert list(lattice_points(a2, (0, 0), 1, -1)) == []
+    assert list(lattice_points(a2, (0, 0), 1, 2, lower=(1, 1))) == [((1, 1), 2)]
+    # the form value is in den-scaled units: (2 r - (1, 0)) at r = 0 and (1, 0)
+    assert sorted(lattice_points(a2, (1, 0), 2, 2)) == [((0, 0), 2), ((1, 0), 2)]
 
 
 def test_lattice_points_rejects_bad_gram():
     with pytest.raises(ValueError, match="positive definite"):
-        list(lattice_points(((1, 2), (2, 1)), (0, 0), 1))
+        list(lattice_points(((1, 2), (2, 1)), (0, 0), 1, 1))
     with pytest.raises(ValueError, match="symmetric"):
-        list(lattice_points(((2, 1), (0, 2)), (0, 0), 1))
+        list(lattice_points(((2, 1), (0, 2)), (0, 0), 1, 1))
     with pytest.raises(ValueError, match="dimension"):
-        list(lattice_points(((2,),), (0, 0), 1))
+        list(lattice_points(((2,),), (0, 0), 1, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        list(lattice_points(((2, 1),), (0,), 1, 1))
+    with pytest.raises(ValueError, match="den"):
+        list(lattice_points(((2,),), (0,), 0, 1))
+    # a rational bound or centre is not silently rounded
+    with pytest.raises(TypeError):
+        list(lattice_points(((2,),), (0,), 1, Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        list(lattice_points(((2,),), (Fraction(1, 2),), 1, 1))
 
 
 # --- the map(mul) kernels against plain index sums --------------------------

@@ -41,7 +41,7 @@ from tripletw import (
     weyl_enumerate,
 )
 from tripletw.params import lambda_params, lambda_x, narrow
-from tripletw.qseries import _assemble, _w_terms, colored_partitions, qseries
+from tripletw.qseries import QSeries, _assemble, _w_terms, colored_partitions, qseries
 
 
 def test_qseries_submodule_is_a_module():
@@ -312,6 +312,93 @@ def test_assemble_rejects_off_grid_exponents(a2):
     den = 2 * mp.p * a2.det
     with pytest.raises(RuntimeError, match="off the common integer grid"):
         _assemble(mp, [(0, 1), (den + 1, 1)], 5)
+
+
+def _assemble_per_term(mp, terms, n, anchor_scaled=None):
+    """_assemble as it was before it summed per exponent: one pass of the eta
+    power per term.  The reference for test_assemble_matches_per_term_loop."""
+    rs = mp.rs
+    den = 2 * mp.p * rs.det
+    terms = list(terms)
+    if anchor_scaled is None:
+        anchor_scaled = min(s for s, _ in terms)
+    offsets = []
+    for s, m in terms:
+        d = s - anchor_scaled
+        if d % den:
+            raise RuntimeError(f"exponent {s}/{den} is off the common integer grid "
+                               f"of {anchor_scaled}/{den}")
+        offsets.append((d // den, m))
+    lo = min(off for off, _ in offsets)
+    width = n - lo
+    if width < 0:
+        return QSeries(base=Fraction(anchor_scaled, den) - Fraction(rs.rank, 24) + n,
+                       coeffs=(0,), order=0)
+    eta = colored_partitions(rs.rank, width)
+    out = [0] * (width + 1)
+    for off, m in offsets:
+        if off > n:
+            continue
+        for pos in range(off - lo, width + 1):
+            out[pos] += m * eta[pos - (off - lo)]
+    base = Fraction(anchor_scaled, den) - Fraction(rs.rank, 24) + lo
+    return qseries(base, out)
+
+
+ASSEMBLE_CASES = [
+    # one exponent repeated, with other terms between its copies
+    [(7, 1), (7 + 18, -1), (7, 2), (7 + 36, 1), (7, -1)],
+    # the multiplicities cancel at the least exponent, which still sets lo
+    [(7, 1), (7 + 18, 3), (7, -1)],
+    [(7 - 18, 2), (7 - 18, -2), (7 + 18, 1), (7 + 18, 1)],
+    # everything cancels
+    [(7, 1), (7, -1)],
+]
+
+
+@pytest.mark.parametrize("terms", ASSEMBLE_CASES)
+@pytest.mark.parametrize("anchor", (None, 7, 7 + 54))
+@pytest.mark.parametrize("n", (0, 2, 6))
+def test_assemble_matches_per_term_loop(a2, terms, anchor, n):
+    mp = build_model(a2, 3)
+    assert 2 * mp.p * a2.det == 18
+    want = _assemble_per_term(mp, terms, n, anchor)
+    assert _assemble(mp, iter(terms), n, anchor) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 10), st.integers(-3, 3)), min_size=1,
+                max_size=14),
+       st.one_of(st.none(), st.integers(-3, 10)), st.integers(0, 9))
+def test_assemble_matches_per_term_loop_on_random_terms(a2, terms, anchor, n):
+    mp = build_model(a2, 3)
+    den = 2 * mp.p * a2.det
+    terms = [(5 + den * k, m) for k, m in terms]
+    anchor = None if anchor is None else 5 + den * anchor
+    assert _assemble(mp, terms, n, anchor) == _assemble_per_term(mp, terms, n, anchor)
+
+
+def test_assemble_rejects_no_terms(a2):
+    mp = build_model(a2, 3)
+    with pytest.raises(RuntimeError, match="no terms"):
+        _assemble(mp, iter(()), 5, anchor_scaled=0)
+
+
+def test_negative_windows_are_rejected_at_entry(a2):
+    mp = build_model(a2, 3)
+    lam = LambdaParam((0, 0), (0, 0), 3)
+    calls = {
+        "fock_char": lambda n: fock_char(mp, ScaledWeight((0, 0), 3), n),
+        "w_char": lambda n: w_char(mp, (0, 0), lam, n),
+        "w_char_affine": lambda n: w_char_affine(mp, (0, 0), lam, n),
+        "module_char": lambda n: module_char(mp, lam, n),
+        "lattice_char": lambda n: lattice_char(mp, lam, n),
+    }
+    for name, call in calls.items():
+        for n in (-1, -3, -50):
+            with pytest.raises(ValueError, match=f"n = {n} is negative"):
+                call(n)
+        assert call(0).order >= 0, name
 
 
 def _wide_lattice_window(mp, lam, n):
