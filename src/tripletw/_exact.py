@@ -15,8 +15,8 @@ IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
 
 
-# dot, mat_vec and mat_mul are the package's hot kernels (orbit exponents,
-# pairings, Weyl actions and enumeration): each sum runs in C through
+# dot, mat_vec and mat_mul are the package's shared kernels (pairings, Weyl
+# actions, the direct orbit exponent): each sum runs in C through
 # map(mul, ...), so the lengths are checked up front, since map stops
 # silently at the shorter input.
 

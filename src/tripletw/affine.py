@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from ._exact import IntVec, dot, mat_vec
 from .params import (
@@ -24,17 +25,15 @@ from .params import (
 )
 from .rootsys import (
     RootSystem,
+    WeylContext,
     WeylElement,
+    _context,
     act,
-    check_weyl_cap,
-    norm_sq,
     root_action,
     root_coords_int,
     root_to_fund,
-    weyl_by_matrix,
     weyl_compose,
     weyl_inverse,
-    weyl_matrix,
 )
 
 
@@ -59,22 +58,16 @@ def aff_mul(rs: RootSystem, y1: AffineWeylElement, y2: AffineWeylElement) -> Aff
     return AffineWeylElement(sigma=sigma, beta=beta)
 
 
-def _classical_part(rs: RootSystem, y: AffineWeylElement, classical, level):
-    """sigma(classical + level * beta): the classical part of y = sigma t_beta
-    acting on a weight with that classical part at that level."""
-    beta_f = root_to_fund(rs, y.beta)
-    return act(y.sigma, tuple([c + level * b for c, b in zip(classical, beta_f)]))
-
-
 def aff_act(rs: RootSystem, y: AffineWeylElement, mu: AffineWeight) -> AffineWeight:
     """Classical part sigma(mu_bar + level * beta); level preserved; the
     delta coefficient picks up -(mu_bar, beta) - |beta|^2 level / 2."""
     if len(mu.classical) != rs.rank:
         raise ValueError("dimension mismatch")
-    beta_sq = dot(root_to_fund(rs, y.beta), y.beta)
-    delta = mu.delta_coeff - dot(mu.classical, y.beta) - Fraction(beta_sq, 2) * mu.level
-    return AffineWeight(classical=_classical_part(rs, y, mu.classical, mu.level),
-                        level=mu.level, delta_coeff=delta)
+    beta_f = root_to_fund(rs, y.beta)
+    delta = (mu.delta_coeff - dot(mu.classical, y.beta)
+             - Fraction(dot(beta_f, y.beta), 2) * mu.level)
+    classical = act(y.sigma, tuple([c + mu.level * b for c, b in zip(mu.classical, beta_f)]))
+    return AffineWeight(classical=classical, level=mu.level, delta_coeff=delta)
 
 
 def aff_circ(mp: ModelParams, y: AffineWeylElement, mu: AffineWeight) -> AffineWeight:
@@ -118,7 +111,10 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
     return True
 
 
+# Each maps a type to that type's table in its WeylContext, from the table's
+# first entry on.
 _CHAMBER_CACHE: dict = {}
+_MU_CACHE: dict = {}
 
 
 def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, WeylElement]:
@@ -129,28 +125,34 @@ def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, Weyl
     positive roots pairing to 0 with omega to positive roots, so sigma_c^{-1}
     rho has that sign pattern.  Every positive root g has (g, omega) in
     {0, 1} and height <= h - 1, so rho - h omega has it too; reflecting that
-    weight into the dominant chamber spells sigma_c^{-1}.  The element is
-    looked up in W, so the Weyl cap is checked on every call, cached or not.
+    weight into the dominant chamber spells sigma_c^{-1}; the same
+    reflections applied to rho give its key sigma_c rho.  Checks the Weyl
+    cap on every call, cached or not.
     """
-    check_weyl_cap(rs)
-    key = (rs.type, lambda0)
-    got = _CHAMBER_CACHE.get(key)
+    return _chamber_of(_context(rs), rs, lambda0)
+
+
+def _chamber_of(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
+    got = ctx.chambers.get(lambda0)
     if got is None:
         omega = lambda0_rep(rs, tuple(c + 1 for c in lambda0))
         x = [r - rs.coxeter_h * o for r, o in zip(rs.rho, omega)]
-        word = []
+        key = list(rs.rho)
         while min(x) < 0:
             i = next(j for j, c in enumerate(x) if c < 0)
-            x = [c - x[i] * a for c, a in zip(x, rs.cartan[i])]
-            word.append(i + 1)
-        sigma_c_inv = weyl_by_matrix(rs, weyl_matrix(rs.cartan, word))
+            xi, ki = x[i], key[i]
+            x = [c - xi * a for c, a in zip(x, rs.cartan[i])]
+            key = [c - ki * a for c, a in zip(key, rs.cartan[i])]
+        sigma_c_inv = ctx.elems[ctx.by_key[tuple(key)]]
         moved_rho = act(sigma_c_inv, rs.rho)
         if any((dot(g, moved_rho) > 0) != (dot(g, omega) == 0)
                for g in rs.positive_roots):
             raise RuntimeError(
                 f"chamber element for lambda0={lambda0} has the wrong sign pattern")
-        got = (omega, weyl_inverse(rs, sigma_c_inv), sigma_c_inv)
-        _CHAMBER_CACHE[key] = got
+        if not ctx.chambers:
+            _CHAMBER_CACHE[rs.type] = ctx.chambers
+        got = ctx.chambers[lambda0] = (
+            omega, ctx.elems[ctx.inv[sigma_c_inv.index]], sigma_c_inv)
     return got
 
 
@@ -188,48 +190,77 @@ def y_sigma(mp: ModelParams, sigma: WeylElement, alpha, lambda0) -> AffineWeylEl
     return AffineWeylElement(sigma=w, beta=beta)
 
 
-_MU_CACHE: dict = {}
-
-
 def mu_lambda(mp: ModelParams, lam: LambdaParam) -> AffineWeight:
     """The chamber weight of lambda at level k = p - h:
     sigma_c(-p omega + s + rho) - rho, with sigma_c, omega from lambda0."""
-    rs = mp.rs
     _check_p(mp, lam.p)
-    check_weyl_cap(rs)  # a cached weight came from a Weyl lookup too
-    key = (rs.type, mp.p, lam.lambda0, lam.sp)
-    got = _MU_CACHE.get(key)
-    if got is not None:
-        return got
-    _digits(mp, lam.sp)
-    omega, sigma_c, _ = _chamber(rs, _int_vec(lam.lambda0, rs.rank))
-    inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, lam.sp))
-    classical = tuple(c - 1 for c in act(sigma_c, inner))
-    got = AffineWeight(classical=classical, level=mp.k, delta_coeff=Fraction(0))
-    _MU_CACHE[key] = got
+    return _mu_of(mp, _context(mp.rs), lam)
+
+
+def _mu_of(mp: ModelParams, ctx: WeylContext, lam: LambdaParam) -> AffineWeight:
+    key = (mp.p, lam.lambda0, lam.sp)
+    got = ctx.mu.get(key)
+    if got is None:
+        rs = mp.rs
+        _digits(mp, lam.sp)
+        omega, sigma_c, _ = _chamber_of(ctx, rs, _int_vec(lam.lambda0, rs.rank))
+        inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, lam.sp))
+        classical = tuple(c - 1 for c in act(sigma_c, inner))
+        if not ctx.mu:
+            _MU_CACHE[rs.type] = ctx.mu
+        got = ctx.mu[key] = AffineWeight(classical=classical, level=mp.k,
+                                         delta_coeff=Fraction(0))
     return got
+
+
+def _affine_route(mp: ModelParams, alpha, lam: LambdaParam):
+    """(ctx, scaled) for one (alpha, lambda): scaled(i) is 2 p det times the
+    affine-route orbit exponent of the label ctx.elems[i], an int.
+
+    Defined only under the narrow condition; checks the Weyl cap once.  For
+    the label sigma the orbit element is y_{sigma^{-1}} = w t_beta with
+    tau = sigma^{-1}, w = tau sigma_c^{-1} and beta = w^{-1}(tau(omega) - v)
+    in Q, v = alpha + lambda0 + rho, as in `y_sigma`.  Labelling by the
+    inverse makes the exponent agree with the direct character exponent of
+    the same sigma term by term; the signed sums agree either way since
+    inversion preserves length.  Only the classical part of y circ mu_lambda
+    is computed: conjugating by rho + h Lambda0, it is y acting on
+    mu_lambda + rho at level k + h = p, w(mu_bar + rho + p beta).  The
+    delta coefficient never enters the exponent.
+    """
+    rs = mp.rs
+    require_narrow(mp, lam.sp)
+    ctx = _context(rs)
+    alpha = _int_vec(alpha, rs.rank)
+    lambda0 = _int_vec(lam.lambda0, rs.rank)
+    _check_p(mp, lam.p)
+    omega, _, sigma_c_inv = _chamber_of(ctx, rs, lambda0)
+    m = tuple([c + 1 for c in _mu_of(mp, ctx, lam).classical])
+    v = tuple([a + l0 + 1 for a, l0 in zip(alpha, lambda0)])
+    p, adj = mp.p, rs.adj
+    elems, inv, compose = ctx.elems, ctx.inv, ctx.compose
+    c_inv = sigma_c_inv.index
+
+    def scaled(i: int) -> int:
+        tau = inv[i]
+        gamma = [sum(map(mul, row, omega)) - c for row, c in zip(elems[tau].matrix, v)]
+        w = compose(tau, c_inv)
+        beta = [sum(map(mul, row, gamma)) for row in elems[inv[w]].matrix]
+        root_coords_int(rs, beta)  # beta in Q; kept in fundamental coordinates
+        inner = [c + p * b for c, b in zip(m, beta)]
+        moved = [sum(map(mul, row, inner)) for row in elems[w].matrix]
+        return sum(map(mul, moved, [sum(map(mul, row, moved)) for row in adj]))
+
+    return ctx, scaled
 
 
 def affine_exponent(mp: ModelParams, sigma: WeylElement, alpha,
                     lam: LambdaParam) -> Fraction:
     """Orbit exponent (1/2p)|classical part of y circ mu_lambda, plus rho|^2,
-    where the orbit element attached to the label sigma is y_{sigma^{-1}}.
-
-    Defined only under the narrow condition.  Labelling by the inverse makes
-    the exponent agree with the direct character exponent of the same sigma
-    term by term; the signed sums agree either way since inversion preserves
-    length.  Only the classical part is computed: conjugating by
-    rho + h Lambda0, it is y acting on mu_lambda + rho at level k + h = p,
-    w(mu_bar + rho + p beta) for y = w t_beta.  The delta coefficient never
-    enters the exponent.
-    """
-    rs = mp.rs
-    require_narrow(mp, lam.sp)
-    y = y_sigma(mp, weyl_inverse(rs, sigma), alpha, lam.lambda0)
-    mu = mu_lambda(mp, lam)
-    moved = _classical_part(rs, y, tuple([c + 1 for c in mu.classical]),
-                            mu.level + rs.coxeter_h)
-    return Fraction(norm_sq(rs, moved), 2 * mp.p)
+    where the orbit element attached to the label sigma is y_{sigma^{-1}};
+    see `_affine_route`."""
+    ctx, scaled = _affine_route(mp, alpha, lam)
+    return Fraction(scaled(ctx.find(sigma)), 2 * mp.p * mp.rs.det)
 
 
 def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
@@ -237,11 +268,11 @@ def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     """Character exponent of one Weyl term, straight from the trace formula:
     (1/2)|sqrt(p) sigma(alpha + lambda0 + rho) - lambda_p - rho/sqrt(p)|^2,
     evaluated as |p sigma(v) - u|^2 / 2p with v = alpha + lambda0 + rho and
-    u = s + rho."""
+    u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det."""
     rs = mp.rs
     _check_p(mp, lam.p)
     alpha = _int_vec(alpha, rs.rank)
-    v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
-    u = tuple(s + 1 for s in lam.sp)
-    moved = tuple(mp.p * c - b for c, b in zip(act(sigma, v), u))
-    return Fraction(norm_sq(rs, moved), 2 * mp.p)
+    p = mp.p
+    v = [a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0)]
+    moved = [p * c - s - 1 for c, s in zip(act(sigma, v), lam.sp)]
+    return Fraction(dot(moved, mat_vec(rs.adj, moved)), 2 * p * rs.det)

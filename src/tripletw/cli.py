@@ -407,8 +407,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the exit code is decided here and only here."""
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or --help
+        return 0 if exc.code is None else exc.code
     cap = getattr(args, "weyl_cap", None)
+    if cap is not None and cap < 1:
+        return _fail(f"--weyl-cap must be >= 1, got {cap}")
     token = None if cap is None else WEYL_CAP.set(cap)
     try:
         return args.func(args)

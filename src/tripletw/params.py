@@ -98,7 +98,10 @@ def scaled(mp: ModelParams, x) -> ScaledWeight:
 def _int_vec(x, rank: int) -> IntVec:
     if len(x) != rank:
         raise ValueError("dimension mismatch")
-    if all(type(c) is int for c in x):
+    for c in x:
+        if type(c) is not int:
+            break
+    else:
         return tuple(x)
     out = []
     for c in x:
@@ -186,7 +189,7 @@ def epsilon(mp: ModelParams, sp, w: WeylElement) -> IntVec:
 
 def _digits(mp: ModelParams, sp) -> IntVec:
     sp = _int_vec(sp, mp.rs.rank)
-    if any(not 0 <= s <= mp.p - 1 for s in sp):
+    if min(sp) < 0 or max(sp) > mp.p - 1:
         raise ValueError(f"digits {sp} out of range for p={mp.p}")
     return sp
 
@@ -206,7 +209,8 @@ def narrow(mp: ModelParams, sp) -> bool:
 def narrow_margin(mp: ModelParams, sp) -> int:
     """(sqrt(p) lambda_p + rho, theta) - p; nonpositive iff narrow."""
     sp = _digits(mp, sp)
-    return dot(tuple(s + 1 for s in sp), mp.rs.theta_root) - mp.p
+    # (rho, theta) = h - 1, the height of theta
+    return dot(sp, mp.rs.theta_root) + mp.rs.coxeter_h - 1 - mp.p
 
 
 def require_narrow(mp: ModelParams, sp):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import floor
 
 from ._exact import IntVec, dot, lattice_points, mat_vec, sqrt_upper
-from .affine import affine_exponent
+from .affine import _affine_route
 from .params import (
     LambdaParam,
     ModelParams,
@@ -32,7 +32,6 @@ from .params import (
     _check_p,
     _int_vec,
     lambda_x,
-    require_narrow,
 )
 from .rootsys import (
     check_weyl_cap,
@@ -361,16 +360,8 @@ def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     _check_n(n)
     _check_p(mp, lam.p)
     alpha = _require_alpha(mp.rs, alpha)
-    require_narrow(mp, lam.sp)
-    rs = mp.rs
-    den = 2 * mp.p * rs.det
-    terms = []
-    for w in weyl_enumerate(rs):
-        e = affine_exponent(mp, w, alpha, lam)
-        scaled = e * den
-        if scaled.denominator != 1:
-            raise RuntimeError(f"affine exponent {e} is off the grid 1/{den}")
-        terms.append((scaled.numerator, w.sign))
+    _, scaled = _affine_route(mp, alpha, lam)
+    terms = [(scaled(w.index), w.sign) for w in weyl_enumerate(mp.rs)]
     return _assemble(mp, terms, n)
 
 

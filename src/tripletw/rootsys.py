@@ -20,9 +20,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, floor
+from operator import mul
+from typing import NamedTuple
 
 from ._exact import (
     IntMat,
@@ -123,11 +126,18 @@ class RootSystem:
     def rank(self) -> int:
         return self.type.rank
 
+    @cached_property
+    def _weyl(self) -> WeylContext:
+        # read through _context, which checks the cap first
+        return _enumerate(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     word: IntVec   # canonical reduced word, 1-based generator indices
     matrix: IntMat  # action on fundamental-weight coordinates
+    # position in the type's WeylContext; -1 for an element built elsewhere
+    index: int = field(default=-1, compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -243,64 +253,140 @@ def in_root_lattice(rs: RootSystem, mu) -> bool:
 
 
 def root_coords_int(rs: RootSystem, mu) -> IntVec:
-    """Exact integer root coordinates; raises if mu is not in Q."""
-    raw = mat_vec(rs.adj, mu)
-    if any(v % rs.det != 0 for v in raw):
-        raise ValueError(f"weight {mu} is not in the root lattice")
-    return tuple(v // rs.det for v in raw)
+    """Exact integer root coordinates adj mu / det; raises if mu is not in Q."""
+    if len(mu) != rs.rank:
+        raise ValueError("dimension mismatch")
+    out = []
+    for row in rs.adj:
+        q, r = divmod(sum(map(mul, row, mu)), rs.det)
+        if r:
+            raise ValueError(f"weight {tuple(mu)} is not in the root lattice")
+        out.append(q)
+    return tuple(out)
 
 
 # --- Weyl group enumeration ------------------------------------------------
 
-_WEYL_CACHE: dict[CartanType, tuple[tuple[WeylElement, ...], dict]] = {}
+class WeylContext(NamedTuple):
+    """The Weyl group of one type, listed as the orbit of rho.
+
+    Element i is elems[i], with elems[i].index == i.  Its key, keys[i], is
+    w^-1 rho; rho is regular, so the key determines the element.  The key of
+    w s_i is s_i(key) = key - key_i C[i], the key of w^-1 is w rho, and the
+    key of u v is v^-1(u^-1 rho), so inverses, products and matrix lookups
+    are key lookups.  `compose` fills its table on integer keys i |W| + j as
+    pairs are asked for; `root_actions`, and `chambers` and `mu` (which
+    `affine` owns), fill on first use too.  Nothing here checks the Weyl cap:
+    the functions that hand a context out do (`_enumerate`, `_context`).
+    """
+    elems: tuple[WeylElement, ...]
+    keys: tuple[IntVec, ...]
+    by_key: dict[IntVec, int]           # key -> element index
+    inv: tuple[int, ...]                # index of each element's inverse
+    products: dict[int, int]            # i |W| + j -> index of w_i w_j
+    root_actions: dict[int, IntMat]     # index -> action on root coordinates
+    chambers: dict                      # lambda0 -> affine._chamber data
+    mu: dict                            # (p, lambda0, sp) -> affine.mu_lambda
+    type: CartanType
+
+    def find(self, w: WeylElement) -> int:
+        """The index of w; an element built elsewhere is found by its matrix."""
+        i = w.index
+        if 0 <= i < len(self.elems) and self.elems[i] is w:
+            return i
+        return self.by_matrix(w.matrix)
+
+    def by_matrix(self, matrix) -> int:
+        j = self.by_key.get(tuple(map(sum, matrix)))  # w rho, the key of w^-1
+        if j is not None and self.elems[self.inv[j]].matrix == matrix:
+            return self.inv[j]
+        raise ValueError("matrix is not a Weyl group action")
+
+    def compose(self, i: int, j: int) -> int:
+        k = i * len(self.elems) + j
+        got = self.products.get(k)
+        if got is None:
+            if not self.products:
+                _COMPOSE_CACHE[self.type] = self.products
+            x = self.keys[i]
+            key = tuple([sum(map(mul, row, x)) for row in self.elems[self.inv[j]].matrix])
+            got = self.products[k] = self.by_key[key]
+        return got
+
+
+# Each maps a type to that type's table in its WeylContext, from the table's
+# first entry on; the tables themselves are keyed by element index.
+_WEYL_CACHE: dict[CartanType, WeylContext] = {}
+_INV_CACHE: dict[CartanType, tuple[int, ...]] = {}
+_COMPOSE_CACHE: dict[CartanType, dict[int, int]] = {}
+_ROOT_ACTION_CACHE: dict[CartanType, dict[int, IntMat]] = {}
 
 
 def check_weyl_cap(rs: RootSystem):
     """Raise CapExceeded when the Weyl group of rs is larger than WEYL_CAP.
 
-    The one cap check: `_enumerate`, `weyl_compose` and `weyl_inverse` make
-    it before their cache lookups, and so do the chamber construction and
-    `mu_lambda` in `affine`.
+    The one cap check: `_enumerate` makes it before its cache lookup, and
+    `_context` before it hands out the context, so every function that reads
+    Weyl data checks the cap, cached or not.
     """
     cap = WEYL_CAP.get()
     if rs.weyl_order > cap:
         raise CapExceeded(required=rs.weyl_order, cap=cap)
 
 
-def _enumerate(rs: RootSystem) -> tuple[tuple[WeylElement, ...], dict]:
+def _enumerate(rs: RootSystem) -> WeylContext:
     """BFS over reduced words, keeping the lexicographically smallest word
     for each element.  Appending generators on the right of an already
     lex-minimal word and taking the first discovery yields the lex-minimal
     word of every element: any smaller word would have a smaller prefix,
     and prefixes of reduced words are reduced words of their own elements.
-    Refuses (CapExceeded) a group larger than WEYL_CAP, cached or not.
+
+    The walk runs on keys w^-1 rho and steps only up: w s_i is longer than
+    w exactly when key_i > 0.  The matrix of w s_i is M S_i, which differs
+    from M in column i only, so each row of M is kept or changed in one
+    entry.  Refuses (CapExceeded) a group larger than WEYL_CAP, cached or not.
     """
     check_weyl_cap(rs)
-    if rs.type in _WEYL_CACHE:
-        return _WEYL_CACHE[rs.type]
+    got = _WEYL_CACHE.get(rs.type)
+    if got is not None:
+        return got
     cartan = rs.cartan
-    gens = [simple_reflection_matrix(cartan, i) for i in range(1, rs.rank + 1)]
-    ident = identity_matrix(rs.rank)
-    by_matrix: dict[IntMat, WeylElement] = {ident: WeylElement((), ident)}
-    elems = [by_matrix[ident]]
-    level = [by_matrix[ident]]
-    while level:
-        nxt = []
-        for w in level:
-            for i in range(1, rs.rank + 1):
-                m = mat_mul(w.matrix, gens[i - 1])
-                if m not in by_matrix:
-                    e = WeylElement(w.word + (i,), m)
-                    by_matrix[m] = e
-                    nxt.append(e)
-        elems.extend(nxt)
-        level = nxt
+    elems = [WeylElement((), identity_matrix(rs.rank), 0)]
+    keys = [rs.rho]
+    by_key = {rs.rho: 0}
+    n = 0
+    while n < len(elems):  # the list is the BFS queue
+        w, x = elems[n], keys[n]
+        n += 1
+        for i, xi in enumerate(x):
+            if xi < 0:
+                continue
+            ci = cartan[i]
+            y = tuple([c - xi * a for c, a in zip(x, ci)])
+            if y in by_key:
+                continue
+            rows = []
+            for row in w.matrix:
+                d = sum(map(mul, row, ci))
+                rows.append(row[:i] + (row[i] - d,) + row[i + 1:] if d else row)
+            by_key[y] = len(elems)
+            keys.append(y)
+            elems.append(WeylElement(w.word + (i + 1,), tuple(rows), len(elems)))
     if len(elems) != rs.weyl_order:
         raise RuntimeError(f"enumerated {len(elems)} Weyl elements of {rs.type}, "
                            f"expected {rs.weyl_order}")
-    out = (tuple(elems), by_matrix)
-    _WEYL_CACHE[rs.type] = out
-    return out
+    inv = tuple([by_key[tuple(map(sum, w.matrix))] for w in elems])
+    got = WeylContext(tuple(elems), tuple(keys), by_key, inv, {}, {}, {}, {}, rs.type)
+    _WEYL_CACHE[rs.type] = got
+    _INV_CACHE[rs.type] = inv
+    return got
+
+
+def _context(rs: RootSystem) -> WeylContext:
+    """The Weyl context of rs after the cap check, read off rs itself, so
+    that no lookup hashes the type."""
+    check_weyl_cap(rs)
+    return rs._weyl
 
 
 def weyl_enumerate(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -308,48 +394,23 @@ def weyl_enumerate(rs: RootSystem) -> tuple[WeylElement, ...]:
 
     Raises CapExceeded when the group order exceeds WEYL_CAP.
     """
-    return _enumerate(rs)[0]
+    return _enumerate(rs).elems
 
 
 def weyl_by_matrix(rs: RootSystem, matrix: IntMat) -> WeylElement:
     """The canonical element with the given action matrix."""
-    by_matrix = _enumerate(rs)[1]
-    try:
-        return by_matrix[matrix]
-    except KeyError:
-        raise ValueError("matrix is not a Weyl group action") from None
-
-
-_COMPOSE_CACHE: dict = {}
+    ctx = _context(rs)
+    return ctx.elems[ctx.by_matrix(matrix)]
 
 
 def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement) -> WeylElement:
-    check_weyl_cap(rs)
-    key = (rs.type, u.word, v.word)
-    got = _COMPOSE_CACHE.get(key)
-    if got is None:
-        got = weyl_by_matrix(rs, mat_mul(u.matrix, v.matrix))
-        _COMPOSE_CACHE[key] = got
-    return got
-
-
-_INV_CACHE: dict = {}
+    ctx = _context(rs)
+    return ctx.elems[ctx.compose(ctx.find(u), ctx.find(v))]
 
 
 def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    """w^-1 through the invariant form: w preserves adj / det, so
-    w^-1 = C w^T adj / det on fundamental coordinates."""
-    check_weyl_cap(rs)
-    key = (rs.type, w.word)
-    got = _INV_CACHE.get(key)
-    if got is None:
-        transpose = tuple(zip(*w.matrix))
-        raw = mat_mul(rs.cartan, mat_mul(transpose, rs.adj))
-        if any(x % rs.det for row in raw for x in row):
-            raise RuntimeError(f"inverse of {w.word} is not integral")
-        got = weyl_by_matrix(rs, tuple(tuple(x // rs.det for x in row) for row in raw))
-        _INV_CACHE[key] = got
-    return got
+    ctx = _context(rs)
+    return ctx.elems[ctx.inv[ctx.find(w)]]
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
@@ -359,21 +420,20 @@ def longest_element(rs: RootSystem) -> WeylElement:
     return w0
 
 
-_ROOT_ACTION_CACHE: dict[tuple[CartanType, IntMat], IntMat] = {}
-
-
 def root_action(rs: RootSystem, w: WeylElement) -> IntMat:
-    """The action matrix of w on simple-root coordinates (integer entries)."""
-    key = (rs.type, w.matrix)
-    got = _ROOT_ACTION_CACHE.get(key)
-    if got is not None:
-        return got
-    raw = mat_mul(rs.adj, mat_mul(w.matrix, rs.cartan))
-    if any(x % rs.det for row in raw for x in row):
-        raise RuntimeError(f"root action of {w.word} is not integral")
-    m = tuple(tuple(x // rs.det for x in row) for row in raw)
-    _ROOT_ACTION_CACHE[key] = m
-    return m
+    """The action matrix of w on simple-root coordinates (integer entries).
+
+    w preserves the pairing x . r of fundamental and root coordinates, so
+    (M x) . (R r) = x . r, and R is the transpose of the matrix of w^-1.
+    """
+    ctx = _context(rs)
+    i = ctx.find(w)
+    got = ctx.root_actions.get(i)
+    if got is None:
+        if not ctx.root_actions:
+            _ROOT_ACTION_CACHE[rs.type] = ctx.root_actions
+        got = ctx.root_actions[i] = tuple(zip(*ctx.elems[ctx.inv[i]].matrix))
+    return got
 
 
 def inversion_count(rs: RootSystem, w: WeylElement) -> int:

@@ -298,3 +298,26 @@ def test_chamber_construction_fills_no_root_action_cache():
                        text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "0\n"
+
+
+def test_warm_affine_exponent_hashes_no_cartan_type(monkeypatch, d4):
+    from tripletw.rootsys import CartanType
+
+    mp = build_model(d4, 6)
+    lam = next(lam for lam in lambda_params(mp)
+               if narrow(mp, lam.sp) and any(lam.lambda0))
+    alpha = tuple(d4.theta)
+    elems = weyl_enumerate(d4)
+    want = [affine_exponent(mp, s, alpha, lam) for s in elems]  # warm
+    calls = []
+    original = CartanType.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CartanType, "__hash__", counting)
+    assert hash(d4.type) == original(d4.type) and len(calls) == 1  # the patch counts
+    calls.clear()
+    assert [affine_exponent(mp, s, alpha, lam) for s in elems] == want
+    assert calls == []

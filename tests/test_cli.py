@@ -126,6 +126,27 @@ def test_argument_errors_exit_2(args):
     assert r.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", [("char", "w", "--type", "A1", "-p", "2"),
+                                     ("verify", "--type", "A1", "-p", "2")])
+def test_nonpositive_weyl_cap_is_an_argument_error(command, cap):
+    r = run_cli(*command, "--weyl-cap", cap)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: --weyl-cap must be >= 1, got {cap}\n"
+
+
+def test_main_returns_the_argparse_status(capsys):
+    from tripletw.cli import main
+
+    assert main(["char", "w", "--type", "A1"]) == 2  # -p is missing
+    out, err = capsys.readouterr()
+    assert out == "" and "required" in err
+    assert main(["--help"]) == 0
+    assert "usage: tripletw" in capsys.readouterr().out
+    r = run_cli("char", "w", "--type", "A1")
+    assert (r.returncode, r.stdout) == (2, "")
+
+
 def test_non_narrow_exits_3():
     r = run_cli("char", "w-affine", "--type", "A2", "-p", "2",
                 "--sp", "1,1")
@@ -341,9 +362,10 @@ def test_lambda_list_memory_does_not_grow_with_rows(fmt):
     assert peak < 4_000_000, f"{fmt}: tracemalloc peak {peak} bytes"
 
 
-# The child reports its own peak RSS on stderr as it exits, where the kernel
-# exposes it; `python -m tripletw` would give the parent no way to read it.
-_E6_LATTICE_CHILD = """
+# `python -m tripletw ARGV` that reports its own peak RSS on stderr as it
+# exits, where the kernel exposes it; `python -m tripletw` would give the
+# parent no way to read it.
+_PEAK_RSS_CHILD = """
 import atexit, runpy, sys
 
 def report():
@@ -355,27 +377,47 @@ def report():
     sys.stderr.write(hwm[0] if hwm else "")
 
 atexit.register(report)
-sys.argv = ["tripletw", "char", "lattice", "--type", "E6", "-p", "13", "--order", "6"]
+sys.argv = ["tripletw"] + sys.argv[1:]
 runpy.run_module("tripletw", run_name="__main__", alter_sys=True)
 """
+
+
+def _run_measured(*argv):
+    """(completed child, wall seconds, VmHWM in kB or None)."""
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                       capture_output=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    hwm = [line for line in r.stderr.decode().splitlines() if line.startswith("VmHWM:")]
+    return r, elapsed, int(hwm[0].split()[1]) if hwm else None
 
 
 def test_e6_lattice_window_is_fast_and_small():
     # 915,875 lattice points for 439 coefficients, from a window anchored at
     # |(p-1) rho|^2 / 2p = 432
-    start = time.perf_counter()
-    r = subprocess.run([sys.executable, "-c", _E6_LATTICE_CHILD],
-                       capture_output=True, timeout=120)
-    elapsed = time.perf_counter() - start
+    r, elapsed, kb = _run_measured("char", "lattice", "--type", "E6", "-p", "13",
+                                   "--order", "6")
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == (
         "24efd9f3d3229b787c93b07d0bd21eba80c70923fcbd61c48ee352e045b1b581")
     assert elapsed < 8, f"took {elapsed:.1f} s"
-    hwm = [line for line in r.stderr.decode().splitlines() if line.startswith("VmHWM:")]
-    if not hwm:
+    if kb is None:
         pytest.skip("no /proc/self/status: the peak RSS is unchecked")
-    kb = int(hwm[0].split()[1])
     assert kb < 40 * 1024, f"peak RSS {kb} kB"
+
+
+def test_cold_e6_affine_character_is_fast_and_small():
+    # the affine route sweeps all 51,840 elements of W(E6) from a cold start
+    args = ("--type", "E6", "-p", "13", "--order", "3")
+    r, elapsed, kb = _run_measured("char", "w-affine", *args)
+    assert r.returncode == 0, r.stderr
+    direct = run_cli("char", "w", *args)
+    assert direct.returncode == 0
+    assert r.stdout.decode() == direct.stdout
+    assert elapsed < 8, f"took {elapsed:.1f} s"
+    if kb is None:
+        pytest.skip("no /proc/self/status: the peak RSS is unchecked")
+    assert kb < 100 * 1024, f"peak RSS {kb} kB"
 
 
 _KEYS = st.text(max_size=6) | st.sampled_from(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,11 @@ from tripletw import (
     weyl_dim,
     weyl_enumerate,
 )
+from tripletw._exact import mat_mul
 from tripletw.rootsys import (
     inversion_count,
     pair_with_rho,
+    root_action,
     root_coords_int,
     root_to_fund,
     weyl_by_matrix,
@@ -263,3 +266,133 @@ def test_circ_action_composes(i, j, x):
     u, v = elems[i], elems[j]
     uv = weyl_compose(rs, u, v)
     assert circ_act(u, circ_act(v, x)) == circ_act(uv, x)
+
+
+# --- the Weyl context, against plain matrix arithmetic -----------------------
+
+def _reflection(cartan, i):
+    """s_i on fundamental coordinates, x -> x - x_i C[i], as a matrix."""
+    n = len(cartan)
+    return tuple(tuple(int(j == k) - (cartan[i][j] if k == i else 0) for k in range(n))
+                 for j in range(n))
+
+
+def _matrix_bfs(cartan):
+    """(word, matrix) of every element by a breadth-first search on matrices,
+    appending generators on the right; the first word found is kept."""
+    n = len(cartan)
+    gens = [_reflection(cartan, i) for i in range(n)]
+    ident = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
+    seen = {ident}
+    level = [((), ident)]
+    out = list(level)
+    while level:
+        nxt = []
+        for word, m in level:
+            for i in range(n):
+                child = mat_mul(m, gens[i])
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append((word + (i + 1,), child))
+        out.extend(nxt)
+        level = nxt
+    return out
+
+
+CONTEXT_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
+
+
+@pytest.mark.parametrize("t", CONTEXT_TYPES)
+def test_context_matches_a_plain_matrix_bfs(t):
+    rs = build_root_system(t)
+    elems = weyl_enumerate(rs)
+    assert [(w.word, w.matrix) for w in elems] == _matrix_bfs(rs.cartan)
+    assert [w.index for w in elems] == list(range(rs.weyl_order))
+
+
+@pytest.mark.parametrize("t", CONTEXT_TYPES)
+def test_inverse_is_an_involution(t):
+    rs = build_root_system(t)
+    ident = weyl_enumerate(rs)[0].matrix
+    for w in weyl_enumerate(rs):
+        inv = weyl_inverse(rs, w)
+        assert mat_mul(w.matrix, inv.matrix) == ident
+        assert weyl_inverse(rs, inv) is w
+
+
+@st.composite
+def _element_triple(draw):
+    rs = build_root_system(draw(st.sampled_from(CONTEXT_TYPES)))
+    pick = st.integers(0, rs.weyl_order - 1)
+    elems = weyl_enumerate(rs)
+    return rs, elems[draw(pick)], elems[draw(pick)], elems[draw(pick)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_triple())
+def test_compose_is_the_matrix_product_and_associative(data):
+    rs, u, v, x = data
+    uv = weyl_compose(rs, u, v)
+    assert uv.matrix == mat_mul(u.matrix, v.matrix)
+    assert weyl_compose(rs, uv, x) == weyl_compose(rs, u, weyl_compose(rs, v, x))
+
+
+def test_compose_and_inverse_accept_elements_built_elsewhere(a3):
+    u, v = weyl_enumerate(a3)[5], weyl_enumerate(a3)[17]
+    u2 = type(u)(u.word, u.matrix)  # equal, but not the context's own object
+    assert u2 == u and u2.index == -1
+    assert weyl_compose(a3, u2, v) is weyl_compose(a3, u, v)
+    assert weyl_inverse(a3, u2) is weyl_inverse(a3, u)
+
+
+@pytest.mark.parametrize("t", ["A2", "A3", "D4"])
+def test_by_matrix_rejects_matrices_outside_w(t):
+    rs = build_root_system(t)
+    n = rs.rank
+    ident = weyl_enumerate(rs)[0].matrix
+    twice = tuple(tuple(2 * c for c in row) for row in ident)
+    # two rows swapped: it fixes rho, the key of the identity, but is not in W
+    swapped = (ident[1], ident[0]) + ident[2:]
+    too_big = ((1,) * (n + 1),) * (n + 1)
+    for m in (twice, swapped, too_big):
+        with pytest.raises(ValueError, match="not a Weyl group action"):
+            weyl_by_matrix(rs, m)
+    for w in weyl_enumerate(rs):
+        assert weyl_by_matrix(rs, w.matrix) is w
+
+
+@pytest.mark.parametrize("t", CONTEXT_TYPES)
+def test_root_action_is_adj_m_c_over_det(t):
+    rs = build_root_system(t)
+    for w in weyl_enumerate(rs):
+        raw = mat_mul(rs.adj, mat_mul(w.matrix, rs.cartan))
+        assert all(x % rs.det == 0 for row in raw for x in row)
+        assert root_action(rs, w) == tuple(tuple(x // rs.det for x in row) for row in raw)
+
+
+def test_sampled_e6_elements():
+    # 51,840 elements: too many for the plain BFS, so sample them
+    rs = build_root_system("E6")
+    elems = weyl_enumerate(rs)
+    assert len(elems) == 51840
+    gens = [_reflection(rs.cartan, i) for i in range(rs.rank)]
+    ident = elems[0].matrix
+    rng = random.Random(6)
+    for _ in range(40):
+        u, v = rng.choice(elems), rng.choice(elems)
+        m = ident
+        for i in u.word:
+            m = mat_mul(m, gens[i - 1])
+        assert m == u.matrix
+        assert inversion_count(rs, u) == u.length
+        inv = weyl_inverse(rs, u)
+        assert mat_mul(u.matrix, inv.matrix) == ident
+        assert weyl_inverse(rs, inv) is u
+        assert weyl_compose(rs, u, v).matrix == mat_mul(u.matrix, v.matrix)
+        assert weyl_by_matrix(rs, u.matrix) is u
+        # u.word is the least reduced word: each u s_i one shorter spells u
+        # as its own word followed by i, which is no smaller
+        for i in range(1, rs.rank + 1):
+            shorter = weyl_by_matrix(rs, mat_mul(u.matrix, gens[i - 1]))
+            if shorter.length == u.length - 1:
+                assert shorter.word + (i,) >= u.word
