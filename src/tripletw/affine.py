@@ -29,7 +29,6 @@ from .rootsys import (
     WeylElement,
     _context,
     act,
-    root_action,
     root_coords_int,
     root_to_fund,
     weyl_compose,
@@ -53,7 +52,7 @@ class AffineWeylElement:
 def aff_mul(rs: RootSystem, y1: AffineWeylElement, y2: AffineWeylElement) -> AffineWeylElement:
     """(sigma1 t_b1)(sigma2 t_b2) = (sigma1 sigma2) t_{sigma2^{-1} b1 + b2}."""
     sigma = weyl_compose(rs, y1.sigma, y2.sigma)
-    inv2 = root_action(rs, weyl_inverse(rs, y2.sigma))
+    inv2 = tuple(zip(*y2.sigma.matrix))  # sigma2^{-1} on root coordinates
     beta = tuple(a + b for a, b in zip(mat_vec(inv2, y1.beta), y2.beta))
     return AffineWeylElement(sigma=sigma, beta=beta)
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice
 
 from .params import (
     LambdaParam,
@@ -194,9 +193,6 @@ def cmd_lambda_list(args) -> int:
     params = [(lam, nar) for lam in lambda_params(mp)
               if (nar := narrow(mp, lam.sp)) or not args.narrow_only]
     rows = (_lambda_row(mp, lam, nar) for lam, nar in params)
-    # build the first row before writing anything, so that a cap or
-    # precondition error (exits 2-4) leaves stdout empty
-    rows = chain(list(islice(rows, 1)), rows)
     if args.output == "json":
         _write_json({"type": str(rs.type), "p": mp.p, "count": len(params),
                      "rows": rows})

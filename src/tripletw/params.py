@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from ._exact import IntVec, dot, mat_vec
+from ._exact import IntVec, dot, identity_matrix, mat_mul, mat_vec
 from .rootsys import (
     CapExceeded,
     RootSystem,
@@ -25,7 +25,7 @@ from .rootsys import (
     longest_element,
     norm_sq,
     pair_with_rho,
-    weyl_matrix,
+    simple_reflection_matrix,
 )
 
 
@@ -232,15 +232,20 @@ def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
     """
     rs = mp.rs
     word = tuple(int(i) for i in word)
+    if any(not 1 <= i <= rs.rank for i in word):
+        raise ValueError(f"letters of {word} must lie in 1..{rs.rank}")
+    x = rs.rho  # rho is regular: |Phi+| letters sending it to -rho spell w0
+    for i in reversed(word):
+        xi = x[i - 1]
+        x = tuple([c - xi * a for c, a in zip(x, rs.cartan[i - 1])])
     n_pos = len(rs.positive_roots)
-    w0 = longest_element(rs)
-    if len(word) != n_pos or weyl_matrix(rs.cartan, word) != w0.matrix:
+    if len(word) != n_pos or any(c != -1 for c in x):
         raise ValueError("word is not a reduced word of the longest element")
     sp = _digits(mp, sp)
+    m = identity_matrix(rs.rank)
     for n in range(1, n_pos):
-        suffix = word[n_pos - n:]
-        partial = WeylElement(suffix, weyl_matrix(rs.cartan, suffix))
-        eps = epsilon(mp, sp, partial)
+        m = mat_mul(simple_reflection_matrix(rs.cartan, word[n_pos - n]), m)
+        eps = epsilon(mp, sp, WeylElement(word[n_pos - n:], m))
         nxt = word[n_pos - n - 1]
         # (eps, alpha_j) is just the j-th fundamental coordinate of eps
         if eps[nxt - 1] != 0:

@@ -131,6 +131,18 @@ class RootSystem:
         # read through _context, which checks the cap first
         return _enumerate(self)
 
+    @cached_property
+    def _w0(self) -> WeylElement:
+        y, word = [-1] * self.rank, []  # w rho from w0 rho = -rho, see longest_element
+        while min(y) < 0:
+            i = next(j for j, c in enumerate(y) if c < 0)
+            y = [c - y[i] * a for c, a in zip(y, self.cartan[i])]
+            word.append(i + 1)
+        if len(word) != len(self.positive_roots):
+            raise RuntimeError(f"the longest element of {self.type} has length "
+                               f"{len(word)}, not {len(self.positive_roots)}")
+        return WeylElement(tuple(word), weyl_matrix(self.cartan, word))
+
 
 @dataclass(frozen=True, slots=True)
 class WeylElement:
@@ -151,6 +163,8 @@ class WeylElement:
 def simple_reflection_matrix(cartan: IntMat, i: int) -> IntMat:
     """Matrix of s_i on fundamental coordinates: x_j -> x_j - x_i C_{ij}."""
     l = len(cartan)
+    if not 1 <= i <= l:
+        raise ValueError(f"simple reflection index {i} outside 1..{l}")
     return tuple(
         tuple((1 if j == k else 0) - (cartan[i - 1][j] if k == i - 1 else 0)
               for k in range(l))
@@ -275,16 +289,15 @@ class WeylContext(NamedTuple):
     w s_i is s_i(key) = key - key_i C[i], the key of w^-1 is w rho, and the
     key of u v is v^-1(u^-1 rho), so inverses, products and matrix lookups
     are key lookups.  `compose` fills its table on integer keys i |W| + j as
-    pairs are asked for; `root_actions`, and `chambers` and `mu` (which
-    `affine` owns), fill on first use too.  Nothing here checks the Weyl cap:
-    the functions that hand a context out do (`_enumerate`, `_context`).
+    pairs are asked for; `chambers` and `mu` (which `affine` owns) fill on
+    first use too.  Nothing here checks the Weyl cap: `_context`, the one
+    door to a context, does.
     """
     elems: tuple[WeylElement, ...]
     keys: tuple[IntVec, ...]
     by_key: dict[IntVec, int]           # key -> element index
     inv: tuple[int, ...]                # index of each element's inverse
     products: dict[int, int]            # i |W| + j -> index of w_i w_j
-    root_actions: dict[int, IntMat]     # index -> action on root coordinates
     chambers: dict                      # lambda0 -> affine._chamber data
     mu: dict                            # (p, lambda0, sp) -> affine.mu_lambda
     type: CartanType
@@ -314,8 +327,8 @@ class WeylContext(NamedTuple):
         return got
 
 
-# Each maps a type to that type's table in its WeylContext, from the table's
-# first entry on; the tables themselves are keyed by element index.
+# Each maps a type to its table in that type's WeylContext from the first entry
+# on, for bench/tracing.py; written, never read.  _ROOT_ACTION_CACHE stays empty.
 _WEYL_CACHE: dict[CartanType, WeylContext] = {}
 _INV_CACHE: dict[CartanType, tuple[int, ...]] = {}
 _COMPOSE_CACHE: dict[CartanType, dict[int, int]] = {}
@@ -323,12 +336,8 @@ _ROOT_ACTION_CACHE: dict[CartanType, dict[int, IntMat]] = {}
 
 
 def check_weyl_cap(rs: RootSystem):
-    """Raise CapExceeded when the Weyl group of rs is larger than WEYL_CAP.
-
-    The one cap check: `_enumerate` makes it before its cache lookup, and
-    `_context` before it hands out the context, so every function that reads
-    Weyl data checks the cap, cached or not.
-    """
+    """Raise CapExceeded when the Weyl group of rs is larger than WEYL_CAP;
+    `_context` checks it on every read of Weyl data, cached or not."""
     cap = WEYL_CAP.get()
     if rs.weyl_order > cap:
         raise CapExceeded(required=rs.weyl_order, cap=cap)
@@ -344,12 +353,8 @@ def _enumerate(rs: RootSystem) -> WeylContext:
     The walk runs on keys w^-1 rho and steps only up: w s_i is longer than
     w exactly when key_i > 0.  The matrix of w s_i is M S_i, which differs
     from M in column i only, so each row of M is kept or changed in one
-    entry.  Refuses (CapExceeded) a group larger than WEYL_CAP, cached or not.
+    entry.  Reached only through rs._weyl, so each type is listed once.
     """
-    check_weyl_cap(rs)
-    got = _WEYL_CACHE.get(rs.type)
-    if got is not None:
-        return got
     cartan = rs.cartan
     elems = [WeylElement((), identity_matrix(rs.rank), 0)]
     keys = [rs.rho]
@@ -376,7 +381,7 @@ def _enumerate(rs: RootSystem) -> WeylContext:
         raise RuntimeError(f"enumerated {len(elems)} Weyl elements of {rs.type}, "
                            f"expected {rs.weyl_order}")
     inv = tuple([by_key[tuple(map(sum, w.matrix))] for w in elems])
-    got = WeylContext(tuple(elems), tuple(keys), by_key, inv, {}, {}, {}, {}, rs.type)
+    got = WeylContext(tuple(elems), tuple(keys), by_key, inv, {}, {}, {}, rs.type)
     _WEYL_CACHE[rs.type] = got
     _INV_CACHE[rs.type] = inv
     return got
@@ -394,7 +399,7 @@ def weyl_enumerate(rs: RootSystem) -> tuple[WeylElement, ...]:
 
     Raises CapExceeded when the group order exceeds WEYL_CAP.
     """
-    return _enumerate(rs).elems
+    return _context(rs).elems
 
 
 def weyl_by_matrix(rs: RootSystem, matrix: IntMat) -> WeylElement:
@@ -414,10 +419,11 @@ def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    w0 = weyl_enumerate(rs)[-1]
-    if w0.length != len(rs.positive_roots):
-        raise RuntimeError(f"the last Weyl element of {rs.type} is not the longest")
-    return w0
+    """w0 from the Cartan matrix, with no Weyl listing and no cap.  The lex-least
+    reduced word of w starts with the least i with (w rho)_i < 0, so stepping
+    y -> y - y_i C[i] at the least negative coordinate from w0 rho = -rho to
+    rho spells the word `weyl_enumerate` gives w0."""
+    return rs._w0
 
 
 def root_action(rs: RootSystem, w: WeylElement) -> IntMat:
@@ -426,14 +432,7 @@ def root_action(rs: RootSystem, w: WeylElement) -> IntMat:
     w preserves the pairing x . r of fundamental and root coordinates, so
     (M x) . (R r) = x . r, and R is the transpose of the matrix of w^-1.
     """
-    ctx = _context(rs)
-    i = ctx.find(w)
-    got = ctx.root_actions.get(i)
-    if got is None:
-        if not ctx.root_actions:
-            _ROOT_ACTION_CACHE[rs.type] = ctx.root_actions
-        got = ctx.root_actions[i] = tuple(zip(*ctx.elems[ctx.inv[i]].matrix))
-    return got
+    return tuple(zip(*weyl_inverse(rs, w).matrix))
 
 
 def inversion_count(rs: RootSystem, w: WeylElement) -> int:

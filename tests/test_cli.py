@@ -174,12 +174,14 @@ def test_cap_exits_4():
     assert r.returncode == 4
     assert "1679616" in r.stderr
     assert r.stdout == ""
-    # E7 passes the parameter cap but not the Weyl cap, which the first
-    # row's dual_param reaches: still nothing on stdout
+    # E7 passes the parameter cap, and w0 lists no W, so no Weyl cap applies;
+    # w0 = -1 on E7, so every dual column equals its own
     r = run_cli("lambda-list", "--type", "E7", "-p", "2")
-    assert r.returncode == 4
-    assert "2903040" in r.stderr
-    assert r.stdout == ""
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["count"] == len(doc["rows"]) == 256
+    for row in doc["rows"]:
+        assert (row["dual_lambda0"], row["dual_sp"]) == (row["lambda0"], row["sp"])
 
 
 # A sweep over all 51,840 elements of W(E6) takes about 11 s per process;
@@ -245,8 +247,9 @@ def test_library_cap_matches_cli_cap():
     cli_reports = [[e["check"], e["status"], e["info"]] for e in json.loads(r.stdout)]
     assert json.loads(lib.stdout) == cli_reports
     statuses = {c: s for c, s, _ in cli_reports}
-    assert statuses["remark311_iff"] == statuses["delta_selfdual"] == "skipped"
-    assert statuses["lambda_count"] == "pass"
+    assert statuses["remark311_iff"] == "skipped"
+    # the dual parameter needs only w0, which lists no W
+    assert statuses["delta_selfdual"] == statuses["lambda_count"] == "pass"
 
 
 def test_optimized_interpreter_gives_the_same_verify_output():
@@ -360,6 +363,29 @@ def test_lambda_list_memory_does_not_grow_with_rows(fmt):
             tracemalloc.stop()
     assert code == 0
     assert peak < 4_000_000, f"{fmt}: tracemalloc peak {peak} bytes"
+
+
+def test_w0_and_the_parameter_layer_list_no_weyl_group():
+    # a fresh interpreter: W listed anywhere would leave its context in
+    # _WEYL_CACHE; cap 1 would refuse any call that reads Weyl data
+    code = (
+        "import contextlib, io, json\n"
+        "import tripletw as tw\n"
+        "from tripletw import cli, rootsys\n"
+        "def run():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['lambda-list', '--type', 'D4', '-p', '6'])\n"
+        "    grid = tw.GridSpec(types=('E7',), p_values=(2,))\n"
+        "    return [code, len(rootsys._WEYL_CACHE)] + [\n"
+        "        tw.run_check(c, grid).status for c in ('lemma216_equiv', 'delta_selfdual')]\n"
+        "print(json.dumps(run()))\n"
+        "tw.WEYL_CAP.set(1)\n"
+        "print(json.dumps(run()), len(rootsys._WEYL_CACHE))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ['[0, 0, "pass", "pass"]', '[0, 0, "pass", "pass"] 0']
 
 
 # `python -m tripletw ARGV` that reports its own peak RSS on stderr as it

@@ -125,6 +125,14 @@ def test_lemma216_word_validation(a2):
         lemma216_cond1(mp, (0, 0), (1, 2, 1, 2, 1))
 
 
+@pytest.mark.parametrize("word", [(1, 0, 1), (1, 3, 1)])
+def test_lemma216_rejects_letters_outside_the_diagram(a2, word):
+    # read as an index from the end, letter 0 would be s_2 and (1, 0, 1)
+    # would pass for w0; letter 3 would read past the Cartan matrix
+    with pytest.raises(ValueError, match="must lie in 1..2"):
+        lemma216_cond1(build_model(a2, 3), (0, 0), word)
+
+
 @pytest.mark.parametrize("t,p", [("A1", 2), ("A1", 3), ("A2", 3), ("A2", 4)])
 def test_lemma216_matches_narrow(t, p):
     # same statement as the verify suite; pinned here on a small grid with

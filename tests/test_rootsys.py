@@ -23,12 +23,14 @@ from tripletw import (
     weyl_enumerate,
 )
 from tripletw._exact import mat_mul
+from tripletw.params import minus_w0
 from tripletw.rootsys import (
     inversion_count,
     pair_with_rho,
     root_action,
     root_coords_int,
     root_to_fund,
+    simple_reflection_matrix,
     weyl_by_matrix,
     weyl_compose,
     weyl_inverse,
@@ -129,6 +131,50 @@ def test_a3_longest_length(a3):
     assert longest_element(a3).length == 6
 
 
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
+def test_longest_element_is_the_last_listed_element(t):
+    rs = build_root_system(t)
+    w0, last = longest_element(rs), weyl_enumerate(rs)[-1]
+    assert (w0.word, w0.matrix) == (last.word, last.matrix)
+
+
+# -w0 permutes the fundamental weights by the diagram involution of the
+# Bourbaki tables (0-based node -> node).
+def _diagram_involution(t):
+    family, l = t[0], int(t[1:])
+    if family == "A":
+        return [l - 1 - i for i in range(l)]
+    if family == "D" and l % 2:
+        return list(range(l - 2)) + [l - 1, l - 2]
+    if t == "E6":
+        return [5, 1, 4, 3, 2, 0]
+    return list(range(l))
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A7", "D4", "D5", "D6", "D7",
+                               "E6", "E7", "E8"])
+def test_minus_w0_is_the_diagram_involution(t):
+    rs = build_root_system(t)
+    w0 = longest_element(rs)
+    assert w0.length == len(rs.positive_roots)
+    perm = _diagram_involution(t)
+    l = rs.rank
+    # column i of -w0 is the fundamental weight omega_perm(i)
+    assert [[-c for c in row] for row in w0.matrix] == \
+        [[int(j == perm[i]) for i in range(l)] for j in range(l)]
+    for i in range(l):
+        omega = tuple(int(j == i) for j in range(l))
+        assert minus_w0(rs, omega) == tuple(int(j == perm[i]) for j in range(l))
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_simple_reflection_rejects_letters_outside_the_diagram(a2, i):
+    with pytest.raises(ValueError, match="outside 1..2"):
+        simple_reflection_matrix(a2.cartan, i)
+    with pytest.raises(ValueError):
+        weyl_matrix(a2.cartan, (1, i))
+
+
 def test_act_examples(a2):
     s1 = weyl_enumerate(a2)[1]
     assert act(s1, (1, 0)) == (-1, 1)
@@ -176,11 +222,12 @@ def test_lower_cap_refuses_an_enumerated_type(a2):
     w_char(mp, (0, 0), lam, 4)
     token = WEYL_CAP.set(5)
     try:
-        for call in (lambda: weyl_enumerate(a2), lambda: longest_element(a2),
-                     lambda: w_char(mp, (0, 0), lam, 4)):
+        for call in (lambda: weyl_enumerate(a2), lambda: w_char(mp, (0, 0), lam, 4)):
             with pytest.raises(CapExceeded) as ei:
                 call()
             assert (ei.value.required, ei.value.cap) == (6, 5)
+        # w0 comes from the Cartan matrix, so the cap does not apply to it
+        assert longest_element(a2).word == (1, 2, 1)
     finally:
         WEYL_CAP.reset(token)
     assert len(weyl_enumerate(a2)) == 6
