@@ -50,6 +50,15 @@ def test_info_text_and_csv():
     assert "coxeter_h,2\n" in r.stdout
 
 
+@pytest.mark.parametrize("fmt,golden", [
+    ("json", "info_e6.json"), ("csv", "info_e6.csv"), ("text", "info_e6.txt"),
+])
+def test_info_golden_e6(fmt, golden):
+    r = run_cli("info", "--type", "E6", "--output", fmt)
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / golden).read_text()
+
+
 def test_char_w_golden_a1():
     r = run_cli("char", "w", "--type", "A1", "-p", "2", "--order", "9")
     assert r.returncode == 0
