@@ -15,10 +15,11 @@ IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
 
 
-# dot, mat_vec and mat_mul are the package's shared kernels (pairings, Weyl
-# actions, the direct orbit exponent): each sum runs in C through
-# map(mul, ...), so the lengths are checked up front, since map stops
-# silently at the shorter input.
+# dot and mat_vec are the package's shared kernels (pairings, Weyl actions,
+# the direct orbit exponent); mat_mul is the reference product the tests
+# check Weyl matrices against.  Each sum runs in C through map(mul, ...), so
+# the lengths are checked up front, since map stops silently at the shorter
+# input.
 
 def dot(u, v):
     if len(u) != len(v):

@@ -29,6 +29,8 @@ from .rootsys import (
     WeylElement,
     _context,
     act,
+    dominant_word,
+    reflect,
     root_coords_int,
     root_to_fund,
     weyl_compose,
@@ -123,10 +125,10 @@ def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, Weyl
     lambda0 + rho; sigma_c is the unique Weyl element sending exactly the
     positive roots pairing to 0 with omega to positive roots, so sigma_c^{-1}
     rho has that sign pattern.  Every positive root g has (g, omega) in
-    {0, 1} and height <= h - 1, so rho - h omega has it too; reflecting that
-    weight into the dominant chamber spells sigma_c^{-1}; the same
-    reflections applied to rho give its key sigma_c rho.  Checks the Weyl
-    cap on every call, cached or not.
+    {0, 1} and height <= h - 1, so rho - h omega has it too; its
+    `dominant_word` spells sigma_c^{-1}, and the same reflections applied to
+    rho give its key sigma_c rho.  Checks the Weyl cap on every call, cached
+    or not.
     """
     return _chamber_of(_context(rs), rs, lambda0)
 
@@ -136,13 +138,10 @@ def _chamber_of(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
     if got is None:
         omega = lambda0_rep(rs, tuple(c + 1 for c in lambda0))
         x = [r - rs.coxeter_h * o for r, o in zip(rs.rho, omega)]
-        key = list(rs.rho)
-        while min(x) < 0:
-            i = next(j for j, c in enumerate(x) if c < 0)
-            xi, ki = x[i], key[i]
-            x = [c - xi * a for c, a in zip(x, rs.cartan[i])]
-            key = [c - ki * a for c, a in zip(key, rs.cartan[i])]
-        sigma_c_inv = ctx.elems[ctx.by_key[tuple(key)]]
+        key = rs.rho
+        for i in dominant_word(rs.cartan, x):
+            key = reflect(rs.cartan, key, i)
+        sigma_c_inv = ctx.elems[ctx.by_key[key]]
         moved_rho = act(sigma_c_inv, rs.rho)
         if any((dot(g, moved_rho) > 0) != (dot(g, omega) == 0)
                for g in rs.positive_roots):

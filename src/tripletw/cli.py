@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 precondition violation (non-narrow parameter, alpha outside the dominant
 root-lattice cone), 4 enumeration cap exceeded, 5 internal error (traceback on
-stderr).  Output is deterministic byte for byte for fixed inputs and format.
+stderr), 141 stdout closed by its reader (128 + SIGPIPE, nothing printed).
+Output is deterministic byte for byte for fixed inputs and format.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 
@@ -124,58 +126,33 @@ def _write_json(obj):
 def cmd_info(args) -> int:
     rs = _parse_type(args.type)
     l0 = lambda0_set(rs)
+    facts = (  # (key, text label, value), rendered by every format
+        ("type", "type", str(rs.type)),
+        ("rank", "rank", rs.rank),
+        ("coxeter_h", "coxeter_h", rs.coxeter_h),
+        ("dim_g", "dim_g", rs.dim_g),
+        ("weyl_order", "weyl_order", rs.weyl_order),
+        ("pq_order", "|P/Q|", rs.det),
+        ("rho", "rho", rs.rho),
+        ("theta_fund", "theta (fund)", rs.theta),
+        ("theta_root", "theta (root)", rs.theta_root),
+        ("positive_roots", "pos roots", len(rs.positive_roots)),
+    )
     if args.output == "json":
-        _write_json({
-            "type": str(rs.type),
-            "rank": rs.rank,
-            "coxeter_h": rs.coxeter_h,
-            "dim_g": rs.dim_g,
-            "weyl_order": rs.weyl_order,
-            "pq_order": rs.det,
-            "rho": list(rs.rho),
-            "theta_fund": list(rs.theta),
-            "theta_root": list(rs.theta_root),
-            "positive_roots": len(rs.positive_roots),
-            "cartan": [list(row) for row in rs.cartan],
-            "inv_cartan": [[str(c) for c in row] for row in rs.inv_cartan],
-            "lambda0": [
-                {"weight": list(w), "pq_class": list(pq_class(rs, w))} for w in l0
-            ],
-        })
+        out = {k: v for k, _, v in facts}
+        out["cartan"] = rs.cartan
+        out["inv_cartan"] = [[str(c) for c in row] for row in rs.inv_cartan]
+        out["lambda0"] = [{"weight": w, "pq_class": pq_class(rs, w)} for w in l0]
+        _write_json(out)
     elif args.output == "csv":
-        rows = [
-            ("type", str(rs.type)),
-            ("rank", rs.rank),
-            ("coxeter_h", rs.coxeter_h),
-            ("dim_g", rs.dim_g),
-            ("weyl_order", rs.weyl_order),
-            ("pq_order", rs.det),
-            ("rho", _sp_join(rs.rho)),
-            ("theta_fund", _sp_join(rs.theta)),
-            ("theta_root", _sp_join(rs.theta_root)),
-            ("positive_roots", len(rs.positive_roots)),
-        ]
+        rows = [(k, _sp_join(v) if type(v) is tuple else v) for k, _, v in facts]
         rows += [(f"lambda0_{i}", _sp_join(w)) for i, w in enumerate(l0)]
         _emit("key,value\n" + "".join(f"{k},{v}\n" for k, v in rows))
     else:
-        lines = [
-            f"type          {rs.type}",
-            f"rank          {rs.rank}",
-            f"coxeter_h     {rs.coxeter_h}",
-            f"dim_g         {rs.dim_g}",
-            f"weyl_order    {rs.weyl_order}",
-            f"|P/Q|         {rs.det}",
-            f"rho           {rs.rho}",
-            f"theta (fund)  {rs.theta}",
-            f"theta (root)  {rs.theta_root}",
-            f"pos roots     {len(rs.positive_roots)}",
-            "inv_cartan    " + "; ".join(
-                " ".join(str(c) for c in row) for row in rs.inv_cartan
-            ),
-        ]
-        lines += [
-            f"lambda0       {w}  class {tuple(pq_class(rs, w))}" for w in l0
-        ]
+        lines = [f"{label:<14}{v}" for _, label, v in facts]
+        lines.append("inv_cartan    " + "; ".join(
+            " ".join(str(c) for c in row) for row in rs.inv_cartan))
+        lines += [f"lambda0       {w}  class {pq_class(rs, w)}" for w in l0]
         _emit("\n".join(lines) + "\n")
     return 0
 
@@ -412,7 +389,9 @@ def main(argv=None) -> int:
         return _fail(f"--weyl-cap must be >= 1, got {cap}")
     token = None if cap is None else WEYL_CAP.set(cap)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except _ArgError as exc:
         return _fail(str(exc))
     except PreconditionError as exc:
@@ -421,6 +400,12 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit cannot fail again, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except Exception:
         sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
         return 5

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from ._exact import IntVec, dot, identity_matrix, mat_mul, mat_vec
+from ._exact import IntVec, dot, mat_vec
 from .rootsys import (
     CapExceeded,
     RootSystem,
@@ -25,7 +25,7 @@ from .rootsys import (
     longest_element,
     norm_sq,
     pair_with_rho,
-    simple_reflection_matrix,
+    reflect,
 )
 
 
@@ -88,11 +88,6 @@ def central_charge_coxeter_form(mp: ModelParams) -> Fraction:
     rs = mp.rs
     q0_sq = Fraction((mp.p - 1) ** 2, mp.p)
     return rs.rank - q0_sq * rs.coxeter_h * rs.dim_g
-
-
-def scaled(mp: ModelParams, x) -> ScaledWeight:
-    xs = _int_vec(x, mp.rs.rank)
-    return ScaledWeight(x=xs, p=mp.p)
 
 
 def _int_vec(x, rank: int) -> IntVec:
@@ -179,12 +174,11 @@ def star_act(mp: ModelParams, w: WeylElement, mu: ScaledWeight) -> ScaledWeight:
 def epsilon(mp: ModelParams, sp, w: WeylElement) -> IntVec:
     """The integral weight (1/sqrt p)(sigma * lambda_p - (sigma * lambda_p)_p).
 
-    Equals minus the mu0-part of the decomposition of sigma * lambda_p.
+    lambda_p has mu0 = 0, so sigma * lambda_p is the shifted action c on the
+    digits and epsilon is minus its mu0-part, c // p coordinatewise.
     """
-    sp = _digits(mp, sp)
-    moved = star_act(mp, w, ScaledWeight(x=sp, p=mp.p))
-    mu0, _ = decompose(mp, moved)
-    return tuple(-c for c in mu0)
+    p = mp.p
+    return tuple([c // p for c in circ_act(w, _digits(mp, sp))])
 
 
 def _digits(mp: ModelParams, sp) -> IntVec:
@@ -228,7 +222,10 @@ def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
 
     The word (j_1, ..., j_N) is read right to left, so the partial products
     are its suffixes; the condition asks that for 1 <= n < N the epsilon of
-    the length-n suffix pairs to zero with the next simple root alpha_{j_{N-n}}.
+    the length-n suffix w pairs to zero with the next simple root
+    alpha_{j_{N-n}}.  That pairing is the j-th coordinate of `epsilon`,
+    (w(s + rho) - rho)_j // p, which is 0 iff 1 <= w(s + rho)_j <= p; so
+    the test walks u = s + rho along the word from its right end.
     """
     rs = mp.rs
     word = tuple(int(i) for i in word)
@@ -236,19 +233,15 @@ def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
         raise ValueError(f"letters of {word} must lie in 1..{rs.rank}")
     x = rs.rho  # rho is regular: |Phi+| letters sending it to -rho spell w0
     for i in reversed(word):
-        xi = x[i - 1]
-        x = tuple([c - xi * a for c, a in zip(x, rs.cartan[i - 1])])
+        x = reflect(rs.cartan, x, i)
     n_pos = len(rs.positive_roots)
     if len(word) != n_pos or any(c != -1 for c in x):
         raise ValueError("word is not a reduced word of the longest element")
-    sp = _digits(mp, sp)
-    m = identity_matrix(rs.rank)
-    for n in range(1, n_pos):
-        m = mat_mul(simple_reflection_matrix(rs.cartan, word[n_pos - n]), m)
-        eps = epsilon(mp, sp, WeylElement(word[n_pos - n:], m))
-        nxt = word[n_pos - n - 1]
-        # (eps, alpha_j) is just the j-th fundamental coordinate of eps
-        if eps[nxt - 1] != 0:
+    u = tuple([s + 1 for s in _digits(mp, sp)])
+    p, rev = mp.p, word[::-1]
+    for i, j in zip(rev, rev[1:]):  # apply j_{N-n+1}, test the next letter j_{N-n}
+        u = reflect(rs.cartan, u, i)
+        if not 1 <= u[j - 1] <= p:
             return False
     return True
 

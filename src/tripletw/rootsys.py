@@ -34,7 +34,6 @@ from ._exact import (
     frac_matrix_inverse,
     identity_matrix,
     lattice_points,
-    mat_mul,
     mat_vec,
     sqrt_upper,
 )
@@ -133,15 +132,11 @@ class RootSystem:
 
     @cached_property
     def _w0(self) -> WeylElement:
-        y, word = [-1] * self.rank, []  # w rho from w0 rho = -rho, see longest_element
-        while min(y) < 0:
-            i = next(j for j, c in enumerate(y) if c < 0)
-            y = [c - y[i] * a for c, a in zip(y, self.cartan[i])]
-            word.append(i + 1)
+        word = dominant_word(self.cartan, (-1,) * self.rank)  # w0 rho = -rho
         if len(word) != len(self.positive_roots):
             raise RuntimeError(f"the longest element of {self.type} has length "
                                f"{len(word)}, not {len(self.positive_roots)}")
-        return WeylElement(tuple(word), weyl_matrix(self.cartan, word))
+        return WeylElement(word, weyl_matrix(self.cartan, word))
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,22 +155,39 @@ class WeylElement:
         return -1 if len(self.word) % 2 else 1
 
 
-def simple_reflection_matrix(cartan: IntMat, i: int) -> IntMat:
-    """Matrix of s_i on fundamental coordinates: x_j -> x_j - x_i C_{ij}."""
-    l = len(cartan)
-    if not 1 <= i <= l:
-        raise ValueError(f"simple reflection index {i} outside 1..{l}")
-    return tuple(
-        tuple((1 if j == k else 0) - (cartan[i - 1][j] if k == i - 1 else 0)
-              for k in range(l))
-        for j in range(l)
-    )
+def reflect(cartan: IntMat, x, i: int) -> tuple:
+    """s_i x = x - x_i C[i] on fundamental coordinates, for a letter i in 1..l."""
+    if not 1 <= i <= len(cartan):
+        raise ValueError(f"simple reflection index {i} outside 1..{len(cartan)}")
+    xi = x[i - 1]
+    return tuple([c - xi * a for c, a in zip(x, cartan[i - 1])])
+
+
+def dominant_word(cartan: IntMat, x) -> IntVec:
+    """The letters (i1, ..., ik) that reflect x into the dominant chamber,
+    in the order applied, each at the first negative coordinate.  For
+    x = w rho they spell the lex-least reduced word of w = s_i1 ... s_ik: a
+    negative coordinate i of w rho marks a left descent s_i of w, and the
+    least one is the least first letter of a reduced word."""
+    word = []
+    while min(x) < 0:
+        i = next(j for j, c in enumerate(x) if c < 0) + 1
+        x = reflect(cartan, x, i)
+        word.append(i)
+    return tuple(word)
 
 
 def weyl_matrix(cartan: IntMat, word) -> IntMat:
-    m = identity_matrix(len(cartan))
+    """The matrix of s_{i1} ... s_{ik} on fundamental coordinates: M S_i is M
+    with column i replaced by M_i - M C[i], as in `_enumerate`."""
+    l = len(cartan)
+    m = identity_matrix(l)
     for i in word:
-        m = mat_mul(m, simple_reflection_matrix(cartan, i))
+        if not 1 <= i <= l:
+            raise ValueError(f"simple reflection index {i} outside 1..{l}")
+        ci = cartan[i - 1]
+        m = tuple([row[:i - 1] + (row[i - 1] - sum(map(mul, row, ci)),) + row[i:]
+                   for row in m])
     return m
 
 
@@ -419,10 +431,9 @@ def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w0 from the Cartan matrix, with no Weyl listing and no cap.  The lex-least
-    reduced word of w starts with the least i with (w rho)_i < 0, so stepping
-    y -> y - y_i C[i] at the least negative coordinate from w0 rho = -rho to
-    rho spells the word `weyl_enumerate` gives w0."""
+    """w0 from the Cartan matrix, with no Weyl listing and no cap: the
+    `dominant_word` of w0 rho = -rho is the lex-least reduced word of w0,
+    the word `weyl_enumerate` gives it."""
     return rs._w0
 
 

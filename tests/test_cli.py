@@ -59,6 +59,30 @@ def test_info_golden_e6(fmt, golden):
     assert r.stdout == (GOLDEN / golden).read_text()
 
 
+def test_stdout_closed_after_one_line_exits_141_quietly():
+    # 2.6 MB of rows cannot fit in the pipe, so the writer meets the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tripletw", "lambda-list", "--type", "D4", "-p", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_stdout_closed_before_any_read_exits_141_quietly():
+    r, w = os.pipe()
+    os.close(r)  # no reader from the start: the first flush fails
+    try:
+        got = subprocess.run([sys.executable, "-m", "tripletw", "info", "--type", "A1"],
+                             stdout=w, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(w)
+    assert got.returncode == 141
+    assert got.stderr == b""
+
+
 def test_char_w_golden_a1():
     r = run_cli("char", "w", "--type", "A1", "-p", "2", "--order", "9")
     assert r.returncode == 0

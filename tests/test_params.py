@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from tripletw.params import (
     lemma216_cond1,
     pq_class,
 )
-from tripletw.rootsys import root_to_fund
+from tripletw.rootsys import WeylElement, reflect, root_to_fund, weyl_matrix
 
 
 def test_build_model_validation(a1):
@@ -97,6 +99,15 @@ def test_epsilon_identity_element_vanishes(t, p):
         assert epsilon(mp, lam.sp, ident) == (0,) * rs.rank
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_epsilon_is_minus_the_mu0_part_of_the_star_action(a3, p):
+    mp = build_model(a3, p)
+    for w in weyl_enumerate(a3):
+        for sp in product(range(p), repeat=3):
+            mu0, _ = decompose(mp, star_act(mp, w, ScaledWeight(sp, p)))
+            assert epsilon(mp, sp, w) == tuple(-c for c in mu0)
+
+
 def test_narrow_tables(a1, a2):
     mp = build_model(a1, 2)
     assert narrow(mp, (0,)) and narrow(mp, (1,))
@@ -145,6 +156,47 @@ def test_lemma216_matches_narrow(t, p):
         want = narrow(mp, lam.sp)
         assert lemma216_cond1(mp, lam.sp, word) == want
         assert lemma216_cond1(mp, lam.sp, alt) == want
+
+
+@cache
+def _suffixes(cartan, word):
+    return tuple(WeylElement(word[n:], weyl_matrix(cartan, word[n:]))
+                 for n in range(len(word)))
+
+
+def _lemma216_by_suffix_matrices(mp, sp, word):
+    # the chain as first written: epsilon of every suffix element, built from
+    # its matrix, paired with the letter before the suffix
+    suffixes = _suffixes(mp.rs.cartan, word)
+    for n in range(1, len(word)):
+        eps = epsilon(mp, sp, suffixes[len(word) - n])
+        if eps[word[len(word) - n - 1] - 1] != 0:
+            return False
+    return True
+
+
+def _last_descent_word(rs):
+    # w0 rho = -rho walked to rho at the last negative coordinate each time
+    x, word = tuple(-c for c in rs.rho), []
+    while min(x) < 0:
+        i = max(j for j, c in enumerate(x) if c < 0) + 1
+        x = reflect(rs.cartan, x, i)
+        word.append(i)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("t,ps", [("A2", (2, 3, 4)), ("A3", (2, 3, 4, 5)),
+                                  ("D4", (4, 5, 6))])
+def test_lemma216_walk_matches_suffix_matrices(t, ps):
+    rs = build_root_system(t)
+    lex = longest_element(rs).word
+    words = (lex, tuple(reversed(lex)), _last_descent_word(rs))
+    for p in ps:
+        mp = build_model(rs, p)
+        for sp in product(range(p), repeat=rs.rank):
+            for word in words:
+                assert lemma216_cond1(mp, sp, word) == \
+                    _lemma216_by_suffix_matrices(mp, sp, word), (p, sp, word)
 
 
 # The minuscule fundamental weights in Bourbaki numbering (1-based).

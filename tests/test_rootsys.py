@@ -25,12 +25,13 @@ from tripletw import (
 from tripletw._exact import mat_mul
 from tripletw.params import minus_w0
 from tripletw.rootsys import (
+    dominant_word,
     inversion_count,
     pair_with_rho,
+    reflect,
     root_action,
     root_coords_int,
     root_to_fund,
-    simple_reflection_matrix,
     weyl_by_matrix,
     weyl_compose,
     weyl_inverse,
@@ -168,11 +169,21 @@ def test_minus_w0_is_the_diagram_involution(t):
 
 
 @pytest.mark.parametrize("i", [0, 3])
-def test_simple_reflection_rejects_letters_outside_the_diagram(a2, i):
+def test_reflect_rejects_letters_outside_the_diagram(a2, i):
     with pytest.raises(ValueError, match="outside 1..2"):
-        simple_reflection_matrix(a2.cartan, i)
-    with pytest.raises(ValueError):
+        reflect(a2.cartan, (1, 1), i)
+    with pytest.raises(ValueError, match="outside 1..2"):
         weyl_matrix(a2.cartan, (1, i))
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+def test_dominant_word_and_weyl_matrix_match_the_listing(t):
+    # w rho walks back to rho along the lex-least word of w, and the column
+    # update of weyl_matrix rebuilds the listed matrix from that word
+    rs = build_root_system(t)
+    for w in weyl_enumerate(rs):
+        assert dominant_word(rs.cartan, act(w, rs.rho)) == w.word
+        assert weyl_matrix(rs.cartan, w.word) == w.matrix
 
 
 def test_act_examples(a2):
