@@ -24,7 +24,6 @@ from .rootsys import (
     circ_act,
     longest_element,
     norm_sq,
-    pair_with_rho,
     reflect,
 )
 
@@ -189,10 +188,12 @@ def _digits(mp: ModelParams, sp) -> IntVec:
 
 
 def conformal_weight(mp: ModelParams, mu: ScaledWeight) -> Fraction:
-    """Lowest grading of the Fock module of mu: |mu|^2/2 - (1 - 1/p)(x, rho)."""
+    """Lowest grading of the Fock module of mu: |mu|^2/2 - (1 - 1/p)(x, rho),
+    as the one Fraction (x adj x - (p - 1) det (x, 2 rho)) / (2 p det)."""
     _check_p(mp, mu.p)
-    p = mp.p
-    return Fraction(norm_sq(mp.rs, mu.x), 2 * p) - Fraction(p - 1, p) * pair_with_rho(mp.rs, mu.x)
+    rs, p, x = mp.rs, mp.p, mu.x
+    num = dot(x, mat_vec(rs.adj, x)) - (p - 1) * rs.det * dot(x, rs.two_rho_root)
+    return Fraction(num, 2 * p * rs.det)
 
 
 def narrow(mp: ModelParams, sp) -> bool:
@@ -225,18 +226,20 @@ def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
     the length-n suffix w pairs to zero with the next simple root
     alpha_{j_{N-n}}.  That pairing is the j-th coordinate of `epsilon`,
     (w(s + rho) - rho)_j // p, which is 0 iff 1 <= w(s + rho)_j <= p; so
-    the test walks u = s + rho along the word from its right end.
+    the test walks u = s + rho along the word from its right end.  The word
+    is checked to spell w0 unless it is `longest_element`'s own, which was
+    checked when it was built.
     """
     rs = mp.rs
     word = tuple(int(i) for i in word)
     if any(not 1 <= i <= rs.rank for i in word):
         raise ValueError(f"letters of {word} must lie in 1..{rs.rank}")
-    x = rs.rho  # rho is regular: |Phi+| letters sending it to -rho spell w0
-    for i in reversed(word):
-        x = reflect(rs.cartan, x, i)
-    n_pos = len(rs.positive_roots)
-    if len(word) != n_pos or any(c != -1 for c in x):
-        raise ValueError("word is not a reduced word of the longest element")
+    if word != longest_element(rs).word:
+        x = rs.rho  # rho is regular: |Phi+| letters sending it to -rho spell w0
+        for i in reversed(word):
+            x = reflect(rs.cartan, x, i)
+        if len(word) != len(rs.positive_roots) or any(c != -1 for c in x):
+            raise ValueError("word is not a reduced word of the longest element")
     u = tuple([s + 1 for s in _digits(mp, sp)])
     p, rev = mp.p, word[::-1]
     for i, j in zip(rev, rev[1:]):  # apply j_{N-n+1}, test the next letter j_{N-n}
@@ -282,9 +285,10 @@ def canonical_lambda(mp: ModelParams, mu: ScaledWeight) -> LambdaParam:
 
 
 def minus_w0(rs: RootSystem, x) -> IntVec:
-    """The diagram involution x -> -w0(x) on fundamental coordinates."""
-    w0 = longest_element(rs)
-    return tuple(-c for c in mat_vec(w0.matrix, _int_vec(x, rs.rank)))
+    """The diagram involution x -> -w0(x) on fundamental coordinates, a
+    permutation of the coordinates."""
+    x = _int_vec(x, rs.rank)
+    return tuple([x[j] for j in rs.minus_w0_perm])
 
 
 def dual_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:

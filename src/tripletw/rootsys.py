@@ -138,6 +138,22 @@ class RootSystem:
                                f"{len(word)}, not {len(self.positive_roots)}")
         return WeylElement(word, weyl_matrix(self.cartan, word))
 
+    @cached_property
+    def minus_w0_perm(self) -> IntVec:
+        """-w0 as a permutation of fundamental coordinates:
+        (-w0 x)_i = x[perm[i]].  Raises RuntimeError unless the matrix of
+        -w0 is a permutation matrix."""
+        perm = []
+        for row in self._w0.matrix:
+            cols = [j for j, c in enumerate(row) if c]
+            if len(cols) != 1 or row[cols[0]] != -1:
+                break
+            perm.append(cols[0])
+        if sorted(perm) != list(range(self.rank)):
+            raise RuntimeError(f"-w0 of {self.type} does not permute coordinates: "
+                               f"{self._w0.matrix}")
+        return tuple(perm)
+
 
 @dataclass(frozen=True, slots=True)
 class WeylElement:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from ._exact import mat_vec, dot, sqrt_floor, sqrt_upper
+from ._exact import dot, lattice_points, mat_vec
 from .affine import (
     affine_exponent,
     direct_exponent,
@@ -245,11 +245,17 @@ def _brute_pairs(mp, alpha, lam, elems):
     """All (sigma matrix, beta root coords) with |beta| <= |v|+2 passing the
     chamber criterion of `lemma39_test`, v = alpha + lambda0 + rho.
 
-    Every point of the box around the ball is scanned.  Each piece of work
-    runs once at the level it depends on: per element, the positive roots
-    pulled back, (g, sigma x) = (sigma^T g) . x; per beta, the square-root-free
-    ball test |beta|^2 - |v|^2 - 4 <= 0 or its square <= 16|v|^2, scaled by
-    det into integers, and the translated weight p(beta - v) + s + rho.
+    Only the beta that can pass for some sigma are scanned.  The criterion
+    puts sigma x, x = p(beta - v) + s + rho, in the closed alcove p A-bar:
+    the simplex with vertices 0 and p omega_i / m_i, m_i the marks of theta.
+    |sigma x| = |x| and |.|^2 is convex, so its maximum on the simplex is at
+    a vertex, and every hit has |x|^2 <= R^2 = p^2 max_i (C^-1)_ii / m_i^2.
+    With x = p C beta + offset, det^2 |x|^2 is the form C at
+    p det beta + adj offset, so `lattice_points` lists that ellipsoid
+    exactly.  Each piece of work runs once at the level it depends on: per
+    element, the positive roots pulled back, (g, sigma x) = (sigma^T g) . x;
+    per beta, the square-root-free ball test |beta|^2 - |v|^2 - 4 <= 0 or
+    its square <= 16|v|^2, scaled by det into integers, and x itself.
     """
     rs = mp.rs
     p = mp.p
@@ -257,15 +263,15 @@ def _brute_pairs(mp, alpha, lam, elems):
     v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
     v_det = dot(v, mat_vec(rs.adj, v))  # det |v|^2
     offset = tuple(s + 1 - p * c for s, c in zip(lam.sp, v))
-    bound = sqrt_upper(Fraction(v_det, det)) + 2
-    bound_sq = bound * bound
-    maxima = [sqrt_floor(bound_sq * rs.inv_cartan[i][i]) for i in range(rs.rank)]
+    bound = max(det * p * p * rs.adj[i][i] // (m * m)
+                for i, m in enumerate(rs.theta_root))  # floor(det^2 R^2)
     pulled = []
     for w in elems:
         transpose = tuple(zip(*w.matrix))
         pulled.append((w.matrix, tuple(mat_vec(transpose, g) for g in rs.positive_roots)))
     hits = set()
-    for r in product(*(range(-m, m + 1) for m in maxima)):
+    centre = tuple(-c for c in mat_vec(rs.adj, offset))
+    for r, _ in lattice_points(rs.cartan, centre, p * det, bound):
         r_f = mat_vec(rs.cartan, r)
         slack = det * dot(r, r_f) - v_det - 4 * det
         if slack > 0 and slack * slack > 16 * det * v_det:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import oracles
+import closed_forms
 from tripletw import (
     GridSpec,
     LambdaParam,
@@ -65,7 +65,7 @@ def test_c2_a1_p2_partition_difference_oracle():
     assert ch.base == Fraction(1, 12)
     assert ch.coeffs == (1, 0, 1, 1, 2, 2, 4, 4, 7, 8)
     assert ch.coeffs == tuple(
-        oracles.partitions(n) - oracles.partitions(n - 1) for n in range(10)
+        closed_forms.partitions(n) - closed_forms.partitions(n - 1) for n in range(10)
     )
     clock.done("criterion 2: A1 p=2 character vs partition oracle")
 

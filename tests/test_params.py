@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -27,13 +28,22 @@ from tripletw import (
     star_act,
     weyl_enumerate,
 )
+from tripletw._exact import mat_vec
 from tripletw.params import (
     central_charge_coxeter_form,
     lambda_x,
     lemma216_cond1,
+    minus_w0,
     pq_class,
 )
-from tripletw.rootsys import WeylElement, reflect, root_to_fund, weyl_matrix
+from tripletw.rootsys import (
+    WeylElement,
+    norm_sq,
+    pair_with_rho,
+    reflect,
+    root_to_fund,
+    weyl_matrix,
+)
 
 
 def test_build_model_validation(a1):
@@ -260,6 +270,33 @@ def test_dual_param(a1, a2):
     assert dual.lambda0 == (0, 1)
     assert dual.sp == (1, 2)
     assert dual_param(mp, dual) == lam
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6",
+                               "E6", "E7", "E8"])
+def test_minus_w0_is_the_matrix_action_on_fundamental_weights(t):
+    rs = build_root_system(t)
+    w0 = longest_element(rs).matrix
+    for i in range(rs.rank):
+        omega = tuple(int(j == i) for j in range(rs.rank))
+        assert minus_w0(rs, omega) == tuple(-c for c in mat_vec(w0, omega))
+
+
+def test_minus_w0_refuses_a_matrix_that_is_no_permutation(a2):
+    rs = dataclasses.replace(a2)  # a fresh copy with no cached w0
+    rs.__dict__["_w0"] = WeylElement((), ((1, 0), (0, 1)))  # -w0 = -1
+    with pytest.raises(RuntimeError, match="does not permute"):
+        minus_w0(rs, (1, 0))
+
+
+@pytest.mark.parametrize("t,p", [("A1", 2), ("A2", 5), ("D4", 6), ("E6", 13)])
+def test_conformal_weight_is_the_two_term_form(t, p):
+    rs = build_root_system(t)
+    mp = build_model(rs, p)
+    for x in product((-p - 1, 0, 2, p), repeat=min(rs.rank, 3)):
+        x = x + (1,) * (rs.rank - len(x))
+        want = Fraction(norm_sq(rs, x), 2 * p) - Fraction(p - 1, p) * pair_with_rho(rs, x)
+        assert conformal_weight(mp, ScaledWeight(x, p)) == want
 
 
 def test_dual_module_param_of_vacuum(a1, a2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
+import closed_forms
 from tripletw import (
     WEYL_CAP,
     CapExceeded,
@@ -154,7 +154,7 @@ def test_eta_inverse_powers():
 @pytest.mark.parametrize("colors", [1, 2, 3, 4])
 def test_colored_partitions_against_convolution(colors):
     assert colored_partitions(colors, 40) == tuple(
-        oracles.colored_partitions(colors, 40)
+        closed_forms.colored_partitions(colors, 40)
     )
 
 
@@ -173,7 +173,7 @@ def test_fock_base_is_delta_minus_c_over_24(x, p):
 def test_fock_coeffs_are_colored_partitions(a2):
     mp = build_model(a2, 3)
     ch = fock_char(mp, ScaledWeight((1, -2), 3), 12)
-    assert ch.coeffs == tuple(oracles.colored_partitions(2, 12))
+    assert ch.coeffs == tuple(closed_forms.colored_partitions(2, 12))
 
 
 def test_w_char_a1_p2_vacuum_vs_partition_oracle(a1):
@@ -182,7 +182,7 @@ def test_w_char_a1_p2_vacuum_vs_partition_oracle(a1):
     ch = w_char(mp, (0,), lam, 9)
     assert ch.base == Fraction(1, 12)
     want = tuple(
-        oracles.partitions(n) - oracles.partitions(n - 1) for n in range(10)
+        closed_forms.partitions(n) - closed_forms.partitions(n - 1) for n in range(10)
     )
     assert ch.coeffs == want == (1, 0, 1, 1, 2, 2, 4, 4, 7, 8)
 
@@ -194,7 +194,7 @@ def test_w_char_a1_p2_other_digit(a1):
     ch = w_char(mp, (0,), LambdaParam((0,), (1,), 2), 8)
     assert ch.base == Fraction(-1, 24)
     assert ch.coeffs == tuple(
-        oracles.partitions(n) - oracles.partitions(n - 2) for n in range(9)
+        closed_forms.partitions(n) - closed_forms.partitions(n - 2) for n in range(9)
     )
 
 
@@ -238,7 +238,7 @@ def test_lattice_char_a1_p2_vs_triangular_offsets(a1):
     assert ch.base == Fraction(1, 12)
     tri = [j * (j + 1) // 2 for j in range(7)]
     want = tuple(
-        sum(oracles.partitions(n - t) for t in tri) for n in range(13)
+        sum(closed_forms.partitions(n - t) for t in tri) for n in range(13)
     )
     assert ch.coeffs == want
     assert ch.coeffs[:3] == (1, 2, 3)
@@ -254,8 +254,8 @@ def test_module_char_a1_p2_vs_double_sum_oracle(a1):
         c = 0
         for m in range(0, 5):
             c += (2 * m + 1) * (
-                oracles.partitions(n - (2 * m * m + m))
-                - oracles.partitions(n - (2 * m * m + 3 * m + 1))
+                closed_forms.partitions(n - (2 * m * m + m))
+                - closed_forms.partitions(n - (2 * m * m + 3 * m + 1))
             )
         want.append(c)
     assert ch.coeffs == tuple(want)
@@ -268,7 +268,7 @@ def test_module_char_a1_vs_fgst_theta_form(a1, p):
     for lam0 in (0, 1):
         for sp in range(p):
             ch = module_char(mp, LambdaParam((lam0,), (sp,), p), 20)
-            want = oracles.a1_module_char(p, lam0, sp, 20)
+            want = closed_forms.a1_module_char(p, lam0, sp, 20)
             assert (ch.base, ch.coeffs) == want, (lam0, sp)
 
 
@@ -425,7 +425,7 @@ def _wide_lattice_window(mp, lam, n):
         assert (s - anchor) % den == 0
         offsets.append((s - anchor) // den)
     lo = min(offsets)
-    eta = oracles.colored_partitions(rs.rank, n - lo)
+    eta = closed_forms.colored_partitions(rs.rank, n - lo)
     coeffs = [sum(eta[k - (o - lo)] for o in offsets if o - lo <= k)
               for k in range(n - lo + 1)]
     return lo, coeffs
@@ -540,7 +540,7 @@ def _check_weyl_denominator(t):
         for alpha in (zero, rs.theta):
             v = tuple(a + 1 for a in alpha)
             ch = w_char(mp, alpha, LambdaParam(zero, zero, p), 14)
-            want = oracles.weyl_denominator_char(rs.positive_roots, rs.inv_cartan, p, v, 14)
+            want = closed_forms.weyl_denominator_char(rs.positive_roots, rs.inv_cartan, p, v, 14)
             assert (ch.base, list(ch.coeffs)) == want, (t, p, alpha)
 
 

@@ -2,8 +2,17 @@ from itertools import product
 
 import pytest
 
-from tripletw import CheckReport, GridSpec, run_all, run_check
-from tripletw._exact import sqrt_floor, sqrt_upper
+from tripletw import (
+    CheckReport,
+    GridSpec,
+    build_model,
+    build_root_system,
+    lambda_params,
+    run_all,
+    run_check,
+    weyl_enumerate,
+)
+from tripletw._exact import mat_vec, sqrt_floor, sqrt_upper
 from tripletw.affine import lemma39_test
 from tripletw.rootsys import norm_sq
 from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, _brute_pairs, _cases, all_passed
@@ -129,3 +138,48 @@ def test_brute_pairs_keep_their_definition():
         wide += not is_narrow
         assert _brute_pairs(mp, alpha, lam, elems) == _lemma39_pairs(mp, alpha, lam, elems)
     assert wide > 0
+
+
+def _alcove_radius_sq(mp):
+    """p^2 max_i (C^-1)_ii / m_i^2: |.|^2 at the farthest vertex p omega_i / m_i
+    of the closed alcove p A-bar."""
+    rs = mp.rs
+    return max(mp.p * mp.p * rs.inv_cartan[i][i] / (m * m)
+               for i, m in enumerate(rs.theta_root))
+
+
+def test_brute_hits_lie_in_the_alcove_ball():
+    # the prune of _brute_pairs keeps |sigma x| <= R; equality somewhere shows
+    # that no smaller radius would keep every hit
+    grids = (GridSpec(), GridSpec(types=("A1", "A2"), p_values=(2, 3, 4, 5, 6, 7)))
+    hits = at_radius = 0
+    for grid in grids:
+        for mp, lam, alpha, _, elems in _cases(grid, max_rank=2, alphas=True, weyl=True):
+            rs, p = mp.rs, mp.p
+            radius_sq = _alcove_radius_sq(mp)
+            v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
+            for matrix, beta in _brute_pairs(mp, alpha, lam, elems):
+                beta_f = mat_vec(rs.cartan, beta)
+                x = tuple(p * (b - c) + s + 1 for b, c, s in zip(beta_f, v, lam.sp))
+                moved_sq = norm_sq(rs, mat_vec(matrix, x))
+                assert moved_sq <= radius_sq, (rs.type, p, lam, alpha, beta)
+                hits += 1
+                at_radius += moved_sq == radius_sq
+    assert hits > 0
+    assert at_radius > 0
+
+
+def test_brute_pairs_keep_their_definition_on_a3():
+    # the prune's argument does not depend on rank; spot-check rank 3
+    rs = build_root_system("A3")
+    mp = build_model(rs, 4)
+    elems = weyl_enumerate(rs)
+    lams = lambda_params(mp)
+    cases = [(lams[0], (0, 0, 0)), (lams[5], (0, 0, 0)), (lams[-1], (0, 0, 0)),
+             (lams[65], (0, 0, 0)), (lams[70], (1, 0, 1))]
+    hits = 0
+    for lam, alpha in cases:
+        brute = _brute_pairs(mp, alpha, lam, elems)
+        assert brute == _lemma39_pairs(mp, alpha, lam, elems)
+        hits += len(brute)
+    assert hits > 0
