@@ -1,18 +1,47 @@
-"""Exact rational linear algebra helpers shared by the library modules.
+"""Exact rational linear algebra helpers shared by the library modules, and
+`int_vec`, the one door from a caller's numbers to ints.
 
-Everything here is plain integer or Fraction arithmetic on tuples; no
-floating point enters anywhere in the package.
+Everything here is plain integer or Fraction arithmetic on tuples.  Floats
+are kept out at the door, not converted: every integral input of the package
+(weights, digits, alpha, beta, Weyl letters, p values, series coefficients)
+passes `int_vec`, which accepts ints, any type with __index__ (bool too) and
+Fractions of denominator 1, and raises ValueError on anything else, 2.0
+included.  The inputs that may be rational take ints or Fractions and raise
+ValueError on a float form value (`rootsys.pairing`, `norm_sq`).  The one
+exact elimination is the LDL^T of `_ldl`: the lattice enumerator walks it, and
+`ldl_inverse` reads the Cartan inverse and determinant off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import index, mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
+
+
+def int_vec(x, rank: int) -> IntVec:
+    """x as a tuple of `rank` ints; raises ValueError on a coordinate that is
+    not an integer (a float, a Fraction off the integers, a str)."""
+    if len(x) != rank:
+        raise ValueError("dimension mismatch")
+    for c in x:
+        if type(c) is not int:
+            break
+    else:
+        return tuple(x)
+    out = []
+    for c in x:
+        if isinstance(c, Fraction) and c.denominator == 1:
+            c = c.numerator
+        try:
+            out.append(index(c))
+        except TypeError:
+            raise ValueError(f"non-integral coordinate {c!r}") from None
+    return tuple(out)
 
 
 # dot and mat_vec are the package's shared kernels (pairings, Weyl actions,
@@ -46,36 +75,6 @@ def mat_mul(a: IntMat, b: IntMat) -> IntMat:
 
 def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def frac_matrix_inverse(m) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
-    """Invert a square matrix by Gauss-Jordan elimination.
-
-    Returns (inverse, determinant), both exact.  Raises ValueError on a
-    singular matrix.
-    """
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        pv = a[col][col]
-        det *= pv
-        a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv), det
 
 
 def sqrt_floor(x: Fraction) -> int:
@@ -127,6 +126,23 @@ def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
                 a[k][j] -= a[i][k] * d * a[i][j]
     return (tuple(a[i][i] for i in range(n)),
             tuple(tuple(a[i]) for i in range(n)))
+
+
+def ldl_inverse(gram) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+    """(G^-1, det G), both exact, from the G = U^T D U of _ldl: column j of
+    G^-1 solves U^T z = e_j, D w = z, U y = w, and det G = prod d_i."""
+    d, u = _ldl(gram)
+    n = len(d)
+    cols = []
+    for j in range(n):
+        z = []
+        for i in range(n):  # U^T is unit lower triangular
+            z.append((i == j) - sum(u[k][i] * z[k] for k in range(i)))
+        y = [zi / di for zi, di in zip(z, d)]
+        for i in reversed(range(n)):  # U is unit upper triangular
+            y[i] -= sum(u[i][k] * y[k] for k in range(i + 1, n))
+        cols.append(tuple(y))
+    return tuple(zip(*cols)), Fraction(prod(d))
 
 
 def lattice_points(gram, num, den, bound, lower=None):

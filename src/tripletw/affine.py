@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._exact import IntVec, dot, mat_vec
+from ._exact import IntVec, dot, int_vec, mat_vec
 from .params import (
     LambdaParam,
     ModelParams,
     _check_p,
     _digits,
-    _int_vec,
     lambda0_rep,
     require_narrow,
 )
@@ -99,7 +98,8 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
     rs = mp.rs
     _check_p(mp, lam.p)
     p = mp.p
-    beta_f = root_to_fund(rs, _int_vec(beta, rs.rank))
+    beta_f = root_to_fund(rs, int_vec(beta, rs.rank))
+    alpha = int_vec(alpha, rs.rank)
     inner = tuple(
         p * (b - (a + l0 + 1)) + s + 1
         for b, a, l0, s in zip(beta_f, alpha, lam.lambda0, lam.sp, strict=True)
@@ -162,8 +162,8 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
     simple-root coordinates.
     """
     rs = mp.rs
-    alpha = _int_vec(alpha, rs.rank)
-    lambda0 = _int_vec(lambda0, rs.rank)
+    alpha = int_vec(alpha, rs.rank)
+    lambda0 = int_vec(lambda0, rs.rank)
     omega, sigma, _ = _chamber(rs, lambda0)
     beta_f = tuple(a + l0 + 1 - o for a, l0, o in zip(alpha, lambda0, omega))
     beta = root_coords_int(rs, beta_f)
@@ -175,8 +175,8 @@ def y_sigma(mp: ModelParams, sigma: WeylElement, alpha, lambda0) -> AffineWeylEl
     sigma_c is the chamber element of lambda0; returned in normal form
     (w, beta) with w t_beta = t_gamma w, beta = w^{-1}(gamma) in Q."""
     rs = mp.rs
-    alpha = _int_vec(alpha, rs.rank)
-    lambda0 = _int_vec(lambda0, rs.rank)
+    alpha = int_vec(alpha, rs.rank)
+    lambda0 = int_vec(lambda0, rs.rank)
     omega, _, sigma_c_inv = _chamber(rs, lambda0)
     gamma = tuple([
         so - (a + l0 + 1)
@@ -201,7 +201,7 @@ def _mu_of(mp: ModelParams, ctx: WeylContext, lam: LambdaParam) -> AffineWeight:
     if got is None:
         rs = mp.rs
         _digits(mp, lam.sp)
-        omega, sigma_c, _ = _chamber_of(ctx, rs, _int_vec(lam.lambda0, rs.rank))
+        omega, sigma_c, _ = _chamber_of(ctx, rs, int_vec(lam.lambda0, rs.rank))
         inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, lam.sp))
         classical = tuple(c - 1 for c in act(sigma_c, inner))
         if not ctx.mu:
@@ -229,8 +229,8 @@ def _affine_route(mp: ModelParams, alpha, lam: LambdaParam):
     rs = mp.rs
     require_narrow(mp, lam.sp)
     ctx = _context(rs)
-    alpha = _int_vec(alpha, rs.rank)
-    lambda0 = _int_vec(lam.lambda0, rs.rank)
+    alpha = int_vec(alpha, rs.rank)
+    lambda0 = int_vec(lam.lambda0, rs.rank)
     _check_p(mp, lam.p)
     omega, _, sigma_c_inv = _chamber_of(ctx, rs, lambda0)
     m = tuple([c + 1 for c in _mu_of(mp, ctx, lam).classical])
@@ -269,7 +269,7 @@ def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det."""
     rs = mp.rs
     _check_p(mp, lam.p)
-    alpha = _int_vec(alpha, rs.rank)
+    alpha = int_vec(alpha, rs.rank)
     p = mp.p
     v = [a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0)]
     moved = [p * c - s - 1 for c, s in zip(act(sigma, v), lam.sp)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from ._exact import IntVec, dot, mat_vec
+from ._exact import IntVec, dot, int_vec, mat_vec
 from .rootsys import (
     CapExceeded,
     RootSystem,
@@ -24,6 +24,7 @@ from .rootsys import (
     circ_act,
     longest_element,
     norm_sq,
+    pq_class,
     reflect,
 )
 
@@ -89,24 +90,6 @@ def central_charge_coxeter_form(mp: ModelParams) -> Fraction:
     return rs.rank - q0_sq * rs.coxeter_h * rs.dim_g
 
 
-def _int_vec(x, rank: int) -> IntVec:
-    if len(x) != rank:
-        raise ValueError("dimension mismatch")
-    for c in x:
-        if type(c) is not int:
-            break
-    else:
-        return tuple(x)
-    out = []
-    for c in x:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"non-integral coordinate {c}")
-            c = c.numerator
-        out.append(int(c))
-    return tuple(out)
-
-
 def _check_p(mp: ModelParams, other_p: int):
     if other_p != mp.p:
         raise ValueError(f"mixed p: model has p={mp.p}, value has p={other_p}")
@@ -121,7 +104,7 @@ def lambda0_set(rs: RootSystem) -> tuple[IntVec, ...]:
     """
     l = rs.rank
     out = [(0,) * l]
-    out += [tuple(int(j == i) for j in range(l))
+    out += [tuple(1 if j == i else 0 for j in range(l))
             for i, mark in enumerate(rs.theta_root) if mark == 1]
     if len(out) != rs.det:
         raise RuntimeError(f"{out} are not |P/Q| = {rs.det} minuscule-or-zero weights")
@@ -129,13 +112,6 @@ def lambda0_set(rs: RootSystem) -> tuple[IntVec, ...]:
 
 
 _CLASS_CACHE: dict = {}
-
-
-def pq_class(rs: RootSystem, x) -> IntVec:
-    """A label for the class of an integral weight in P/Q."""
-    xs = _int_vec(x, rs.rank)
-    raw = mat_vec(rs.adj, xs)
-    return tuple(v % rs.det for v in raw)
 
 
 def lambda0_rep(rs: RootSystem, x) -> IntVec:
@@ -181,7 +157,7 @@ def epsilon(mp: ModelParams, sp, w: WeylElement) -> IntVec:
 
 
 def _digits(mp: ModelParams, sp) -> IntVec:
-    sp = _int_vec(sp, mp.rs.rank)
+    sp = int_vec(sp, mp.rs.rank)
     if min(sp) < 0 or max(sp) > mp.p - 1:
         raise ValueError(f"digits {sp} out of range for p={mp.p}")
     return sp
@@ -231,7 +207,7 @@ def lemma216_cond1(mp: ModelParams, sp, word) -> bool:
     checked when it was built.
     """
     rs = mp.rs
-    word = tuple(int(i) for i in word)
+    word = int_vec(word, len(word))
     if any(not 1 <= i <= rs.rank for i in word):
         raise ValueError(f"letters of {word} must lie in 1..{rs.rank}")
     if word != longest_element(rs).word:
@@ -287,7 +263,7 @@ def canonical_lambda(mp: ModelParams, mu: ScaledWeight) -> LambdaParam:
 def minus_w0(rs: RootSystem, x) -> IntVec:
     """The diagram involution x -> -w0(x) on fundamental coordinates, a
     permutation of the coordinates."""
-    x = _int_vec(x, rs.rank)
+    x = int_vec(x, rs.rank)
     return tuple([x[j] for j in rs.minus_w0_perm])
 
 

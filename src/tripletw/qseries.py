@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import ceil, floor
 
-from ._exact import IntVec, dot, lattice_points, mat_vec, sqrt_upper
+from ._exact import IntVec, dot, int_vec, lattice_points, mat_vec, sqrt_upper
 from .affine import _affine_route
 from .params import (
     LambdaParam,
@@ -30,7 +30,6 @@ from .params import (
     PreconditionError,
     ScaledWeight,
     _check_p,
-    _int_vec,
     lambda_x,
 )
 from .rootsys import (
@@ -66,7 +65,7 @@ def qseries(base, coeffs) -> QSeries:
     Stripping leading zeros keeps the top of the window fixed, so the result
     is exact on the same range it was handed.
     """
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = int_vec(coeffs, len(coeffs))
     if not coeffs:
         raise ValueError("empty coefficient window")
     base = Fraction(base)
@@ -108,11 +107,11 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
     if qs_is_zero(b) and not _aligned(a, b):
         # the zero operand only narrows the window
         limit = min(qs_top(a), qs_top(b))
-        n_max = _floor_frac(limit - a.base)
+        n_max = floor(limit - a.base)
         if n_max < 0:
             raise OrderUnderflow(
                 f"window of the zero operand (top {limit}) ends below base {a.base}",
-                required=_ceil_frac(a.base - b.base),
+                required=ceil(a.base - b.base),
             )
         return qseries(a.base, a.coeffs[: n_max + 1])
     if not _aligned(a, b):
@@ -136,14 +135,6 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
         for n in range(n_max + 1)
     ]
     return qseries(bmin, out)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def qs_scale(a: QSeries, m: int) -> QSeries:
@@ -250,7 +241,7 @@ def fock_char(mp: ModelParams, mu: ScaledWeight, n: int) -> QSeries:
 
 
 def _require_alpha(rs, alpha) -> IntVec:
-    a = _int_vec(alpha, rs.rank)
+    a = int_vec(alpha, rs.rank)
     if any(c < 0 for c in a):
         raise PreconditionError(f"alpha {alpha} is not dominant")
     if not in_root_lattice(rs, a):
@@ -275,7 +266,7 @@ def _w_terms(mp: ModelParams, alpha, lam: LambdaParam, n: int,
     """
     rs = mp.rs
     p = mp.p
-    v = tuple(int(a) + l0 + 1 for a, l0 in zip(alpha, lam.lambda0, strict=True))
+    v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0, strict=True))
     u = tuple(s + 1 for s in lam.sp)
     root = _scaled_norm(rs, tuple(p * c - b for c, b in zip(v, u)))
     den = 2 * p * rs.det

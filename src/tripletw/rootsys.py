@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 * A weight is a plain tuple of exact numbers (int or Fraction), giving its
   coordinates in the fundamental-weight basis, so x_i = (x, alpha_i^vee).
+  An integral weight passes `_exact.int_vec`, which rejects floats.
 * Roots are often carried in simple-root coordinates; for a weight x in the
   fundamental basis and a root g in root coordinates, (x, g) is the plain
   dot product of the two tuples.
@@ -31,9 +32,10 @@ from ._exact import (
     IntMat,
     IntVec,
     dot,
-    frac_matrix_inverse,
     identity_matrix,
+    int_vec,
     lattice_points,
+    ldl_inverse,
     mat_vec,
     sqrt_upper,
 )
@@ -237,7 +239,7 @@ def build_root_system(t) -> RootSystem:
     if ct in _RS_CACHE:
         return _RS_CACHE[ct]
     cartan = cartan_matrix(ct)
-    inv, det_f = frac_matrix_inverse(cartan)
+    inv, det_f = ldl_inverse(cartan)
     det = int(det_f)
     adj = tuple(tuple(int(x * det) for x in row) for row in inv)
     pos = _positive_roots(cartan)
@@ -266,9 +268,14 @@ def build_root_system(t) -> RootSystem:
 
 def pairing(rs: RootSystem, mu, nu) -> Fraction:
     """Invariant form on weights in fundamental coordinates:
-    mu . adj(C) . nu / det(C), with one Fraction at the end."""
+    mu . adj(C) . nu / det(C), with one Fraction at the end.  The coordinates
+    may be ints or Fractions; any other form value raises ValueError."""
     num = dot(mu, mat_vec(rs.adj, nu))
-    return Fraction(num, rs.det) if isinstance(num, int) else num / rs.det
+    if isinstance(num, int):
+        return Fraction(num, rs.det)
+    if isinstance(num, Fraction):
+        return num / rs.det
+    raise ValueError(f"form value {num!r} is neither an int nor a Fraction")
 
 
 def norm_sq(rs: RootSystem, mu) -> Fraction:
@@ -285,13 +292,15 @@ def root_to_fund(rs: RootSystem, r):
     return mat_vec(rs.cartan, r)
 
 
+def pq_class(rs: RootSystem, x) -> IntVec:
+    """A label for the class of an integral weight in P/Q: adj x mod det,
+    zero exactly on Q."""
+    return tuple([v % rs.det for v in mat_vec(rs.adj, int_vec(x, rs.rank))])
+
+
 def in_root_lattice(rs: RootSystem, mu) -> bool:
     """Whether an integral weight lies in Q (root coordinates all integers)."""
-    if not all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-               for c in mu):
-        return False
-    raw = mat_vec(rs.adj, tuple(int(c) for c in mu))
-    return all(v % rs.det == 0 for v in raw)
+    return not any(pq_class(rs, mu))
 
 
 def root_coords_int(rs: RootSystem, mu) -> IntVec:
@@ -497,18 +506,9 @@ def weyl_dim(rs: RootSystem, beta) -> int:
     in fundamental coordinates and a root in root coordinates the form is a
     plain dot product, so both factors are integers.
     """
-    l = rs.rank
-    if len(beta) != l:
-        raise ValueError("dimension mismatch")
-    b = []
-    for c in beta:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"weight {beta} is not integral")
-            c = c.numerator
-        if c < 0:
-            raise ValueError(f"weight {beta} is not dominant")
-        b.append(c)
+    b = int_vec(beta, rs.rank)
+    if min(b) < 0:
+        raise ValueError(f"weight {beta} is not dominant")
     shifted = tuple(c + 1 for c in b)
     num = 1
     den = 1

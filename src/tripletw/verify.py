@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from ._exact import dot, lattice_points, mat_vec
+from ._exact import dot, int_vec, lattice_points, mat_vec
 from .affine import (
     affine_exponent,
     direct_exponent,
@@ -80,7 +80,8 @@ class GridSpec:
             self, "types", tuple(str(cartan_type(t)) for t in self.types)
         )
         if self.p_values is not None:
-            object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
+            object.__setattr__(self, "p_values",
+                               int_vec(self.p_values, len(self.p_values)))
         if self.cross_order is None:
             object.__setattr__(self, "cross_order", min(self.order, 20))
 
@@ -108,7 +109,7 @@ def _ps(grid: GridSpec, rs) -> tuple:
         raw = grid.p_values
     else:
         raw = range(rs.coxeter_h + grid.p_lo, rs.coxeter_h + grid.p_hi + 1)
-    return tuple(sorted({max(int(p), 2) for p in raw}))
+    return tuple(sorted({max(p, 2) for p in raw}))
 
 
 def _models(grid: GridSpec, max_rank: int | None = None):

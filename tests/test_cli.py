@@ -1,4 +1,6 @@
 import contextlib
+import contextvars
+import csv
 import hashlib
 import io
 import json
@@ -10,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletw.cli import _write_json
@@ -532,3 +534,67 @@ def test_json_writer_streams_iterator_elements():
     assert written_before == [0, 1, 2]
     want = {"count": 3, "rows": [{"i": i} for i in range(3)]}
     assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+
+# Bounded argv fuzz: in-process calls over A1-A3 and D4, p 2..5, vectors with
+# out-of-range and negative entries, orders 0..8, Weyl caps on both sides of
+# |W| and every format.  The examples are drawn from a fixed seed, so the run
+# time stays the same from run to run (about 5 s on a 2-core VM).
+_FUZZ_TYPES = {"A1": (1, 2), "A2": (2, 6), "A3": (3, 24), "D4": (4, 192)}  # rank, |W|
+
+
+@st.composite
+def _argv(draw):
+    from tripletw.verify import CHECK_NAMES
+
+    command = draw(st.sampled_from(["info", "lambda-list", "char", "verify"]))
+    t = draw(st.sampled_from(sorted(_FUZZ_TYPES)))
+    rank, order_w = _FUZZ_TYPES[t]
+    fmt = draw(st.sampled_from(["json", "csv", "text"]))
+    p = str(draw(st.integers(2, 5)))
+    order = str(draw(st.integers(0, 8)))
+    if command == "info":
+        return ["info", "--type", t, "--output", fmt]
+    if command == "lambda-list":
+        return (["lambda-list", "--type", t, "-p", p, "--output", fmt]
+                + draw(st.sampled_from([[], ["--narrow-only"]])))
+    if command == "char":
+        kind = draw(st.sampled_from(["w", "w-affine", "module", "lattice"]))
+        argv = ["char", kind, "--type", t, "-p", p, "--order", order, "--output", fmt]
+        for flag in ("--alpha", "--lambda0", "--sp"):
+            vec = draw(st.none() | st.lists(st.integers(-2, 6), min_size=rank,
+                                            max_size=rank + 1))
+            if vec is not None:
+                argv += [flag, ",".join(map(str, vec))]
+    else:
+        suite = draw(st.sampled_from(("all",) + tuple(CHECK_NAMES)))
+        argv = ["verify", suite, "--type", t, "-p", p, "--order", order, "--output", fmt]
+    cap = draw(st.none() | st.integers(0, 2 * order_w))
+    return argv if cap is None else argv + ["--weyl-cap", str(cap)]
+
+
+def _parses(out: str, fmt: str) -> bool:
+    if fmt == "json":
+        json.loads(out)
+        return True
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        return len(rows) >= 1 and all(len(r) == len(rows[0]) for r in rows)
+    return out.endswith("\n") and out.strip() != ""
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_fuzzed_argv_keeps_the_exit_contract(argv):
+    from tripletw import WEYL_CAP
+    from tripletw.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), err.getvalue()
+    if code >= 2:
+        assert out.getvalue() == ""
+    else:
+        assert _parses(out.getvalue(), argv[argv.index("--output") + 1])
+    assert WEYL_CAP.get() == contextvars.Context().run(WEYL_CAP.get)

@@ -6,9 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletw import build_root_system, pairing
-from tripletw._exact import dot, lattice_points, mat_mul, mat_vec
-from tripletw.params import _int_vec
+from tripletw import (
+    GridSpec,
+    LambdaParam,
+    affine_exponent,
+    build_model,
+    build_root_system,
+    direct_exponent,
+    epsilon,
+    lemma39_test,
+    lemma310_construct,
+    narrow,
+    norm_sq,
+    pairing,
+    w_char,
+    w_char_affine,
+    weyl_dim,
+    weyl_enumerate,
+)
+from tripletw._exact import dot, int_vec, lattice_points, mat_mul, mat_vec
+from tripletw.params import lemma216_cond1, minus_w0, pq_class
+from tripletw.qseries import qseries
+from tripletw.rootsys import in_root_lattice
 
 # (name, integer Gram matrix, its inverse): the Cartan matrix and the
 # adjugate det C^-1, whose inverse is C / det
@@ -178,13 +197,50 @@ def test_kernels_reject_mismatched_lengths():
 
 
 def test_int_vec_fast_path_and_fallbacks():
-    assert _int_vec((1, -2, 3), 3) == (1, -2, 3)
-    assert _int_vec([1, 2], 2) == (1, 2)
-    got = _int_vec((Fraction(3, 1), 2), 2)
+    assert int_vec((1, -2, 3), 3) == (1, -2, 3)
+    assert int_vec([1, 2], 2) == (1, 2)
+    got = int_vec((Fraction(3, 1), 2), 2)
     assert got == (3, 2) and all(type(c) is int for c in got)
     with pytest.raises(ValueError, match="non-integral coordinate"):
-        _int_vec((Fraction(1, 2), 0), 2)
-    got = _int_vec((True, False), 2)
+        int_vec((Fraction(1, 2), 0), 2)
+    got = int_vec((True, False), 2)
     assert got == (1, 0) and all(type(c) is int for c in got)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        _int_vec((1, 2), 3)
+        int_vec((1, 2), 3)
+
+
+# Every entry point that turns a caller's numbers into ints, as
+# (call, an integral input it accepts); each runs on A2 at p = 3.
+_A2 = build_root_system("A2")
+_MP = build_model(_A2, 3)
+_LAM = LambdaParam((0, 0), (0, 0), 3)
+_S1 = next(w for w in weyl_enumerate(_A2) if w.word == (1,))
+GATED = {
+    "w_char": (lambda a: w_char(_MP, a, _LAM, 4), (1, 1)),
+    "w_char_affine": (lambda a: w_char_affine(_MP, a, _LAM, 4), (1, 1)),
+    "direct_exponent": (lambda a: direct_exponent(_MP, _S1, a, _LAM), (1, 1)),
+    "affine_exponent": (lambda a: affine_exponent(_MP, _S1, a, _LAM), (1, 1)),
+    "lemma39_test alpha": (lambda a: lemma39_test(_MP, _S1, (0, 0), a, _LAM), (1, 1)),
+    "lemma39_test beta": (lambda b: lemma39_test(_MP, _S1, b, (1, 1), _LAM), (1, 2)),
+    "lemma310_construct": (lambda a: lemma310_construct(_MP, a, (0, 0)), (1, 1)),
+    "narrow": (lambda s: narrow(_MP, s), (2, 0)),
+    "epsilon": (lambda s: epsilon(_MP, s, _S1), (1, 0)),
+    "lemma216_cond1": (lambda w: lemma216_cond1(_MP, (0, 0), w), (1, 2, 1)),
+    "minus_w0": (lambda x: minus_w0(_A2, x), (2, 1)),
+    "weyl_dim": (lambda b: weyl_dim(_A2, b), (1, 0)),
+    "in_root_lattice": (lambda x: in_root_lattice(_A2, x), (2, 2)),
+    "pq_class": (lambda x: pq_class(_A2, x), (1, 0)),
+    "GridSpec.p_values": (lambda ps: GridSpec(p_values=ps).p_values, (3,)),
+    "qseries": (lambda c: qseries(0, c), (1, 2)),
+    "norm_sq": (lambda x: norm_sq(_A2, x), (1, 0)),
+    "pairing": (lambda x: pairing(_A2, x, (1, 1)), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_gate_rejects_floats_and_takes_integral_fractions(name):
+    call, v = GATED[name]
+    for bad in ((v[0] + 0.5,) + v[1:], tuple(map(float, v))):
+        with pytest.raises(ValueError, match="non-integral coordinate|neither an int"):
+            call(bad)
+    assert call(tuple(map(Fraction, v))) == call(v)

@@ -71,9 +71,15 @@ def test_classical_constants(t, h, dim, det, order):
     assert len(rs.positive_roots) == (dim - rs.rank) // 2
 
 
-@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "D4", "D5", "E6"])
+# |P/Q| by type: l + 1 for A_l, 4 for D_l, and 3, 2, 1 for E6, E7, E8
+PQ_ORDER = {**{f"A{l}": l + 1 for l in range(1, 9)}, **{f"D{l}": 4 for l in range(4, 9)},
+            "E6": 3, "E7": 2, "E8": 1}
+
+
+@pytest.mark.parametrize("t", PQ_ORDER)
 def test_cartan_inverse_and_adjugate(t):
     rs = build_root_system(t)
+    assert rs.det == PQ_ORDER[t]
     l = rs.rank
     for i in range(l):
         for j in range(l):
