@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Callable, NamedTuple
 
-from ._exact import IntVec, dot, int_vec, mat_vec
+from ._exact import IntMat, IntVec, dot, int_vec, mat_vec
 from .params import (
     LambdaParam,
     ModelParams,
@@ -23,6 +24,7 @@ from .params import (
     require_narrow,
 )
 from .rootsys import (
+    CapExceeded,
     RootSystem,
     WeylContext,
     WeylElement,
@@ -192,17 +194,18 @@ def mu_lambda(mp: ModelParams, lam: LambdaParam) -> AffineWeight:
     """The chamber weight of lambda at level k = p - h:
     sigma_c(-p omega + s + rho) - rho, with sigma_c, omega from lambda0."""
     _check_p(mp, lam.p)
-    return _mu_of(mp, _context(mp.rs), lam)
+    rs = mp.rs
+    return _mu_of(mp, _context(rs), int_vec(lam.lambda0, rs.rank), _digits(mp, lam.sp))
 
 
-def _mu_of(mp: ModelParams, ctx: WeylContext, lam: LambdaParam) -> AffineWeight:
-    key = (mp.p, lam.lambda0, lam.sp)
+def _mu_of(mp: ModelParams, ctx: WeylContext, lambda0: IntVec, sp: IntVec) -> AffineWeight:
+    # lambda0 and the digits sp are gated tuples
+    key = (mp.p, lambda0, sp)
     got = ctx.mu.get(key)
     if got is None:
         rs = mp.rs
-        _digits(mp, lam.sp)
-        omega, sigma_c, _ = _chamber_of(ctx, rs, int_vec(lam.lambda0, rs.rank))
-        inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, lam.sp))
+        omega, sigma_c, _ = _chamber_of(ctx, rs, lambda0)
+        inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, sp))
         classical = tuple(c - 1 for c in act(sigma_c, inner))
         if not ctx.mu:
             _MU_CACHE[rs.type] = ctx.mu
@@ -211,45 +214,167 @@ def _mu_of(mp: ModelParams, ctx: WeylContext, lam: LambdaParam) -> AffineWeight:
     return got
 
 
-def _affine_route(mp: ModelParams, alpha, lam: LambdaParam):
-    """(ctx, scaled) for one (alpha, lambda): scaled(i) is 2 p det times the
-    affine-route orbit exponent of the label ctx.elems[i], an int.
+def _label_table(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
+    """(table, fill) for the chamber of lambda0, kept in ctx.labels.
 
-    Defined only under the narrow condition; checks the Weyl cap once.  For
-    the label sigma the orbit element is y_{sigma^{-1}} = w t_beta with
-    tau = sigma^{-1}, w = tau sigma_c^{-1} and beta = w^{-1}(tau(omega) - v)
-    in Q, v = alpha + lambda0 + rho, as in `y_sigma`.  Labelling by the
-    inverse makes the exponent agree with the direct character exponent of
-    the same sigma term by term; the signed sums agree either way since
-    inversion preserves length.  Only the classical part of y circ mu_lambda
-    is computed: conjugating by rho + h Lambda0, it is y acting on
-    mu_lambda + rho at level k + h = p, w(mu_bar + rho + p beta).  The
-    delta coefficient never enters the exponent.
+    For the label sigma = elems[i], table[i] is None until fill(i) stores
+    (tau(omega), rows of w^-1, rows of w) with tau = sigma^-1 and
+    w = tau sigma_c^-1.  The key of w, w^-1 rho = sigma_c sigma rho, gives
+    its index, so no product is looked up or stored.  tau(omega) runs over
+    the orbit W omega, small for a minuscule omega, and each vector of it is
+    stored once.
+    """
+    omega, sigma_c, _ = _chamber_of(ctx, rs, lambda0)
+    elems, inv, by_key = ctx.elems, ctx.inv, ctx.by_key
+    c_rows = sigma_c.matrix
+    table = [None] * len(elems)
+    orbit = {}
+
+    def fill(i: int):
+        sigma_rho = tuple(map(sum, elems[i].matrix))
+        w = elems[by_key[tuple([sum(map(mul, row, sigma_rho)) for row in c_rows])]]
+        t = act(elems[inv[i]], omega)
+        got = table[i] = (orbit.setdefault(t, t), elems[inv[w.index]].matrix, w.matrix)
+        return got
+
+    got = ctx.labels[lambda0] = (table, fill)
+    return got
+
+
+class _Route(NamedTuple):
+    """One (alpha, lambda) of the affine route; see `_affine_route`.
+    kernel(route, labels) gives 2 p det times the exponent of each label."""
+    kernel: Callable
+    table: list      # the label table of lambda0, filled by fill(i)
+    fill: Callable
+    v: IntVec        # alpha + lambda0 + rho
+    m: IntVec        # mu_bar + rho, mu_bar the classical part of mu_lambda
+    p: int
+    den: int         # 2 p det
+
+
+def _affine_route(mp: ModelParams, alpha, lam: LambdaParam) -> tuple[WeylContext, _Route]:
+    """(ctx, route) for one (alpha, lambda).
+
+    Defined only under the narrow condition.  For the label sigma the orbit
+    element is y_{sigma^{-1}} = w t_beta with tau = sigma^{-1},
+    w = tau sigma_c^{-1} and beta = w^{-1}(tau(omega) - v) in Q,
+    v = alpha + lambda0 + rho, as in `y_sigma`.  Labelling by the inverse
+    makes the exponent agree with the direct character exponent of the same
+    sigma term by term; the signed sums agree either way since inversion
+    preserves length.  Only the classical part of y circ mu_lambda is
+    computed: conjugating by rho + h Lambda0, it is y acting on
+    mu_lambda + rho at level k + h = p, w(mu_bar + rho + p beta).  The delta
+    coefficient never enters the exponent.
+
+    Every call checks the Weyl cap, gates alpha, lambda0 and the digits to
+    int tuples, and checks p.  The route is then kept in ctx.route under
+    (mp, alpha, lambda0, sp, p), compared by value, so a repeated
+    (alpha, lambda) reuses it; a new one is checked for narrowness first.
     """
     rs = mp.rs
-    require_narrow(mp, lam.sp)
-    ctx = _context(rs)
-    alpha = int_vec(alpha, rs.rank)
-    lambda0 = int_vec(lam.lambda0, rs.rank)
+    l = rs.rank
+    sp = int_vec(lam.sp, l)
+    try:
+        ctx = _context(rs)
+    except CapExceeded:
+        require_narrow(mp, sp)  # a wide lambda is reported before the cap
+        raise
+    alpha = int_vec(alpha, l)
+    lambda0 = int_vec(lam.lambda0, l)
     _check_p(mp, lam.p)
-    omega, _, sigma_c_inv = _chamber_of(ctx, rs, lambda0)
-    m = tuple([c + 1 for c in _mu_of(mp, ctx, lam).classical])
+    key = (mp, alpha, lambda0, sp, lam.p)
+    got = ctx.route[0]
+    if got[0] != key:
+        got = ctx.route[0] = (key, _build_route(mp, ctx, alpha, lambda0, sp))
+    return ctx, got[1]
+
+
+def _build_route(mp: ModelParams, ctx: WeylContext, alpha: IntVec,
+                 lambda0: IntVec, sp: IntVec) -> _Route:
+    require_narrow(mp, sp)
+    rs = mp.rs
+    table, fill = ctx.labels.get(lambda0) or _label_table(ctx, rs, lambda0)
+    m = tuple([c + 1 for c in _mu_of(mp, ctx, lambda0, sp).classical])
     v = tuple([a + l0 + 1 for a, l0 in zip(alpha, lambda0)])
-    p, adj = mp.p, rs.adj
-    elems, inv, compose = ctx.elems, ctx.inv, ctx.compose
-    c_inv = sigma_c_inv.index
+    return _Route(ctx.kernel[0] or _route_kernel(ctx, rs), table, fill, v, m,
+                  mp.p, 2 * mp.p * rs.det)
 
-    def scaled(i: int) -> int:
-        tau = inv[i]
-        gamma = [sum(map(mul, row, omega)) - c for row, c in zip(elems[tau].matrix, v)]
-        w = compose(tau, c_inv)
-        beta = [sum(map(mul, row, gamma)) for row in elems[inv[w]].matrix]
-        root_coords_int(rs, beta)  # beta in Q; kept in fundamental coordinates
-        inner = [c + p * b for c, b in zip(m, beta)]
-        moved = [sum(map(mul, row, inner)) for row in elems[w].matrix]
-        return sum(map(mul, moved, [sum(map(mul, row, moved)) for row in adj]))
 
-    return ctx, scaled
+def _q_rows(rs: RootSystem) -> IntMat:
+    """The rows of adj that decide membership in Q: an integral weight x
+    lies in Q iff row . x = 0 mod det for every row listed.
+
+    Row i of adj x is det (omega_i, x).  The types are simply laced, so Q is
+    the dual P* of P under the form, and P is Q plus the minuscule weights,
+    which pair integrally with Q; so an integral x lies in Q iff
+    (omega_i, x) is an integer for minuscule omega_i whose classes generate
+    P/Q: omega_1 for A and E6, omega_7 for E7, omega_{l-1} for odd D,
+    omega_1 and omega_{l-1} for even D, and none for E8, where P = Q.
+    """
+    l, family = rs.rank, rs.type.family
+    if family == "A":
+        nodes = (1,)
+    elif family == "D":
+        nodes = (l - 1,) if l % 2 else (1, l - 1)
+    else:
+        nodes = {6: (1,), 7: (7,), 8: ()}[l]
+    return tuple(rs.adj[i - 1] for i in nodes)
+
+
+def _route_kernel(ctx: WeylContext, rs: RootSystem) -> Callable:
+    """kernel(route, labels) for the type of rs, compiled from generated
+    source on first use and kept in ctx.kernel.
+
+    Per label it takes every step of the affine route, with each sum
+    written out term by term for the rank: gamma = tau(omega) - v,
+    beta = w^-1 gamma, the check that beta lies in Q (on the rows `_q_rows`
+    of adj, raising ValueError as `root_coords_int` does),
+    n = m + p beta, x = w n, and the norm x . adj x, as the sum over i of
+    x_i (adj_ii x_i + sum over j > i of 2 adj_ij x_j).  The source holds
+    only the rank and the integer entries of adj, det and `_q_rows`.
+    """
+    r = range(rs.rank)
+
+    def names(prefix):
+        return [f"{prefix}{i}" for i in r]
+
+    def tup(items):
+        return "(" + ", ".join(items) + ",)"
+
+    def lin(coeffs, xs):
+        # sum of c * x written out; coeffs are names or ints, zero ints dropped
+        return " + ".join(x if c == 1 else f"{c} * {x}"
+                          for c, x in zip(coeffs, xs) if c != 0) or "0"
+
+    rows = [[f"a{i}_{j}" for j in r] for i in r]
+    matrix = tup(tup(row) for row in rows)
+    g, b, n, x = names("g"), names("b"), names("n"), names("x")
+    adj = rs.adj
+    lines = [
+        "def kernel(route, labels):",
+        f"    _, table, fill, {tup(names('v'))}, {tup(names('m'))}, p, _ = route",
+        "    out = []",
+        "    for i in labels:",
+        f"        {tup(names('t'))}, w_inv, w = table[i] or fill(i)",
+    ]
+    lines += [f"        g{i} = t{i} - v{i}" for i in r]
+    lines.append(f"        {matrix} = w_inv")
+    lines += [f"        b{i} = {lin(rows[i], g)}" for i in r]
+    for row in _q_rows(rs):
+        lines.append(f"        if ({lin(row, b)}) % {rs.det}:")
+        lines.append(f"            raise ValueError(f'weight {{{tup(b)}}} "
+                     "is not in the root lattice')")
+    lines += [f"        n{i} = m{i} + p * b{i}" for i in r]
+    lines.append(f"        {matrix} = w")
+    lines += [f"        x{i} = {lin(rows[i], n)}" for i in r]
+    norm = " + ".join(f"x{i} * ({lin([adj[i][i]] + [2 * c for c in adj[i][i + 1:]], x[i:])})"
+                      for i in r)
+    lines += [f"        out.append({norm})", "    return out"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<affine route kernel of {rs.type}>", "exec"), namespace)
+    got = ctx.kernel[0] = namespace["kernel"]
+    return got
 
 
 def affine_exponent(mp: ModelParams, sigma: WeylElement, alpha,
@@ -257,8 +382,8 @@ def affine_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     """Orbit exponent (1/2p)|classical part of y circ mu_lambda, plus rho|^2,
     where the orbit element attached to the label sigma is y_{sigma^{-1}};
     see `_affine_route`."""
-    ctx, scaled = _affine_route(mp, alpha, lam)
-    return Fraction(scaled(ctx.find(sigma)), 2 * mp.p * mp.rs.det)
+    ctx, route = _affine_route(mp, alpha, lam)
+    return Fraction(route.kernel(route, (ctx.find(sigma),))[0], route.den)
 
 
 def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
@@ -266,11 +391,18 @@ def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     """Character exponent of one Weyl term, straight from the trace formula:
     (1/2)|sqrt(p) sigma(alpha + lambda0 + rho) - lambda_p - rho/sqrt(p)|^2,
     evaluated as |p sigma(v) - u|^2 / 2p with v = alpha + lambda0 + rho and
-    u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det."""
+    u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det:
+    l dot products for p sigma(v) - u = sigma(p v) - u and l + 1 for the
+    form."""
     rs = mp.rs
     _check_p(mp, lam.p)
-    alpha = int_vec(alpha, rs.rank)
+    l = rs.rank
+    alpha = int_vec(alpha, l)
+    rows = sigma.matrix
+    if len(rows) != l:
+        raise ValueError("dimension mismatch")
     p = mp.p
-    v = [a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0)]
-    moved = [p * c - s - 1 for c, s in zip(act(sigma, v), lam.sp)]
-    return Fraction(dot(moved, mat_vec(rs.adj, moved)), 2 * p * rs.det)
+    pv = [p * (a + l0 + 1) for a, l0 in zip(alpha, lam.lambda0, strict=True)]
+    moved = [sum(map(mul, row, pv)) - s - 1 for row, s in zip(rows, lam.sp, strict=True)]
+    return Fraction(sum(map(mul, moved, [sum(map(mul, row, moved)) for row in rs.adj])),
+                    2 * p * rs.det)

@@ -63,12 +63,16 @@ def qseries(base, coeffs) -> QSeries:
     """Build a series, normalizing so the base is the true leading exponent.
 
     Stripping leading zeros keeps the top of the window fixed, so the result
-    is exact on the same range it was handed.
+    is exact on the same range it was handed.  The base is an int or a
+    Fraction; anything else, a float included, raises ValueError.
     """
     coeffs = int_vec(coeffs, len(coeffs))
     if not coeffs:
         raise ValueError("empty coefficient window")
-    base = Fraction(base)
+    if type(base) is not Fraction:
+        if not isinstance(base, (int, Fraction)):
+            raise ValueError(f"series base {base!r} is neither an int nor a Fraction")
+        base = Fraction(base)
     k = next((i for i, c in enumerate(coeffs) if c != 0), None)
     if k is None:
         return QSeries(base=base, coeffs=coeffs, order=len(coeffs) - 1)
@@ -351,8 +355,10 @@ def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     _check_n(n)
     _check_p(mp, lam.p)
     alpha = _require_alpha(mp.rs, alpha)
-    _, scaled = _affine_route(mp, alpha, lam)
-    terms = [(scaled(w.index), w.sign) for w in weyl_enumerate(mp.rs)]
+    _, route = _affine_route(mp, alpha, lam)
+    elems = weyl_enumerate(mp.rs)
+    scaled = route.kernel(route, range(len(elems)))
+    terms = [(e, -1 if len(w.word) & 1 else 1) for e, w in zip(scaled, elems)]
     return _assemble(mp, terms, n)
 
 

@@ -283,9 +283,15 @@ def norm_sq(rs: RootSystem, mu) -> Fraction:
 
 
 def pair_with_rho(rs: RootSystem, mu) -> Fraction:
-    """(mu, rho), computed through 2 rho = sum of positive roots."""
+    """(mu, rho), computed through 2 rho = sum of positive roots; as in
+    `pairing`, a form value that is neither an int nor a Fraction raises
+    ValueError."""
     s = dot(mu, rs.two_rho_root)
-    return Fraction(s, 2) if isinstance(s, int) else s / 2
+    if isinstance(s, int):
+        return Fraction(s, 2)
+    if isinstance(s, Fraction):
+        return s / 2
+    raise ValueError(f"form value {s!r} is neither an int nor a Fraction")
 
 
 def root_to_fund(rs: RootSystem, r):
@@ -326,9 +332,13 @@ class WeylContext(NamedTuple):
     w s_i is s_i(key) = key - key_i C[i], the key of w^-1 is w rho, and the
     key of u v is v^-1(u^-1 rho), so inverses, products and matrix lookups
     are key lookups.  `compose` fills its table on integer keys i |W| + j as
-    pairs are asked for; `chambers` and `mu` (which `affine` owns) fill on
-    first use too.  Nothing here checks the Weyl cap: `_context`, the one
-    door to a context, does.
+    pairs are asked for; `chambers`, `mu` and `labels` (which `affine` owns)
+    fill on first use too.  `route`, `kernel` and `pulled` are one-item
+    lists, each a slot replaced or filled by one assignment: `affine` keeps
+    its last route in `route` and the type's compiled route kernel in
+    `kernel`, and `verify._pulled_roots` the positive roots pulled back
+    through every element in `pulled`.  Nothing here checks the Weyl cap:
+    `_context`, the one door to a context, does.
     """
     elems: tuple[WeylElement, ...]
     keys: tuple[IntVec, ...]
@@ -337,6 +347,10 @@ class WeylContext(NamedTuple):
     products: dict[int, int]            # i |W| + j -> index of w_i w_j
     chambers: dict                      # lambda0 -> affine._chamber data
     mu: dict                            # (p, lambda0, sp) -> affine.mu_lambda
+    labels: dict                        # lambda0 -> affine label table
+    route: list                         # [(key, route)], the last affine route
+    kernel: list                        # [affine route kernel], or [None]
+    pulled: list                        # [pulled-back roots], or [None]
     type: CartanType
 
     def find(self, w: WeylElement) -> int:
@@ -418,7 +432,8 @@ def _enumerate(rs: RootSystem) -> WeylContext:
         raise RuntimeError(f"enumerated {len(elems)} Weyl elements of {rs.type}, "
                            f"expected {rs.weyl_order}")
     inv = tuple([by_key[tuple(map(sum, w.matrix))] for w in elems])
-    got = WeylContext(tuple(elems), tuple(keys), by_key, inv, {}, {}, {}, rs.type)
+    got = WeylContext(tuple(elems), tuple(keys), by_key, inv, {}, {}, {}, {},
+                      [(None, None)], [None], [None], rs.type)
     _WEYL_CACHE[rs.type] = got
     _INV_CACHE[rs.type] = inv
     return got

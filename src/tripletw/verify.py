@@ -47,6 +47,7 @@ from .params import (
 from .qseries import lattice_char, module_char, qs_eq, w_char
 from .rootsys import (
     CapExceeded,
+    _context,
     build_root_system,
     cartan_type,
     enum_dominant_in_Q,
@@ -254,9 +255,10 @@ def _brute_pairs(mp, alpha, lam, elems):
     With x = p C beta + offset, det^2 |x|^2 is the form C at
     p det beta + adj offset, so `lattice_points` lists that ellipsoid
     exactly.  Each piece of work runs once at the level it depends on: per
-    element, the positive roots pulled back, (g, sigma x) = (sigma^T g) . x;
-    per beta, the square-root-free ball test |beta|^2 - |v|^2 - 4 <= 0 or
-    its square <= 16|v|^2, scaled by det into integers, and x itself.
+    type, the positive roots pulled back through each element
+    (`_pulled_roots`); per beta, the square-root-free ball test
+    |beta|^2 - |v|^2 - 4 <= 0 or its square <= 16|v|^2, scaled by det into
+    integers, and x itself.
     """
     rs = mp.rs
     p = mp.p
@@ -266,10 +268,7 @@ def _brute_pairs(mp, alpha, lam, elems):
     offset = tuple(s + 1 - p * c for s, c in zip(lam.sp, v))
     bound = max(det * p * p * rs.adj[i][i] // (m * m)
                 for i, m in enumerate(rs.theta_root))  # floor(det^2 R^2)
-    pulled = []
-    for w in elems:
-        transpose = tuple(zip(*w.matrix))
-        pulled.append((w.matrix, tuple(mat_vec(transpose, g) for g in rs.positive_roots)))
+    pulled = _pulled_roots(rs, elems)
     hits = set()
     centre = tuple(-c for c in mat_vec(rs.adj, offset))
     for r, _ in lattice_points(rs.cartan, centre, p * det, bound):
@@ -286,6 +285,20 @@ def _brute_pairs(mp, alpha, lam, elems):
             else:
                 hits.add((matrix, r))
     return hits
+
+
+def _pulled_roots(rs, elems):
+    """(sigma matrix, the positive roots g pulled back to sigma^T g) for
+    each sigma in elems, so that (g, sigma x) = (sigma^T g) . x.  The table
+    depends only on the type: it is built for all of W on first use and
+    kept in the type's WeylContext."""
+    ctx = _context(rs)
+    table = ctx.pulled[0]
+    if table is None:
+        table = ctx.pulled[0] = tuple(
+            (w.matrix, tuple(mat_vec(tuple(zip(*w.matrix)), g) for g in rs.positive_roots))
+            for w in ctx.elems)
+    return [table[ctx.find(w)] for w in elems]
 
 
 def _check_lemma310_bruteforce(grid: GridSpec):

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +31,16 @@ from tripletw import (
     y_sigma,
 )
 from tripletw._exact import dot, mat_vec
-from tripletw.affine import _chamber
+from tripletw.affine import _chamber, _q_rows
 from tripletw.params import lambda0_rep, lambda0_set, lambda_params, lambda_x, narrow
-from tripletw.rootsys import root_action, weyl_inverse
-from tripletw.qseries import _fock_scaled
+from tripletw.rootsys import (
+    _context,
+    enum_dominant_in_Q,
+    in_root_lattice,
+    root_action,
+    weyl_inverse,
+)
+from tripletw.qseries import _fock_scaled, w_char_affine
 
 
 def _elem(rs, word):
@@ -211,28 +218,104 @@ def test_lemma39_examples(a1, a2):
 
 
 @pytest.mark.parametrize("t,p", [("A1", 2), ("A1", 3), ("A2", 3), ("A2", 4),
-                                 ("A3", 4), ("D4", 6)])
+                                 ("A3", 4), ("D4", 6), ("A4", 5), ("D5", 8)])
 def test_affine_exponent_matches_the_full_affine_action(t, p):
     # affine_exponent computes only the classical part of y circ mu; the
-    # reference goes through aff_circ, with its level and delta bookkeeping
+    # reference goes through aff_circ, with its level and delta bookkeeping.
+    # alpha changes on every call, so the route slot is rebuilt each time,
+    # and every narrow lambda, so every lambda0 label table, is checked
     rs = build_root_system(t)
     mp = build_model(rs, p)
     rho = (1,) * rs.rank
     alphas = [(0,) * rs.rank, tuple(rs.theta), tuple(2 * c for c in rs.theta)]
-    checked = 0
-    for lam in lambda_params(mp):
-        if not narrow(mp, lam.sp):
-            continue
+    lams = [lam for lam in lambda_params(mp) if narrow(mp, lam.sp)]
+    assert {lam.lambda0 for lam in lams} == set(lambda0_set(rs))
+    for lam in lams:
         mu = mu_lambda(mp, lam)
-        for alpha in alphas:
-            for sigma in weyl_enumerate(rs):
-                y = y_sigma(mp, weyl_inverse(rs, sigma), alpha, lam.lambda0)
-                out = aff_circ(mp, y, mu)
+        for sigma in weyl_enumerate(rs):
+            tau = weyl_inverse(rs, sigma)
+            for alpha in alphas:
+                out = aff_circ(mp, y_sigma(mp, tau, alpha, lam.lambda0), mu)
                 shifted = tuple(c + r for c, r in zip(out.classical, rho))
                 want = norm_sq(rs, shifted) / (2 * p)
                 assert affine_exponent(mp, sigma, alpha, lam) == want
-                checked += 1
-    assert checked >= len(alphas) * rs.weyl_order
+
+
+def test_route_slot_keeps_every_per_call_check(a2):
+    mp = build_model(a2, 3)
+    lam = LambdaParam((1, 0), (1, 0), 3)
+    sigma = weyl_enumerate(a2)[3]
+    want = affine_exponent(mp, sigma, (1, 1), lam)  # the warm route
+    token = WEYL_CAP.set(5)
+    try:
+        with pytest.raises(CapExceeded) as ei:
+            affine_exponent(mp, sigma, (1, 1), lam)
+        assert (ei.value.required, ei.value.cap) == (6, 5)
+        with pytest.raises(NarrowViolation):  # reported before the cap
+            affine_exponent(mp, sigma, (1, 1), LambdaParam((1, 0), (1, 1), 3))
+    finally:
+        WEYL_CAP.reset(token)
+    assert affine_exponent(mp, sigma, (1, 1), lam) == want
+    with pytest.raises(ValueError, match="mixed p"):
+        affine_exponent(mp, sigma, (1, 1), LambdaParam((1, 0), (1, 0), 4))
+    assert affine_exponent(mp, sigma, (1, 1), lam) == want
+    with pytest.raises(NarrowViolation):
+        affine_exponent(mp, sigma, (1, 1), LambdaParam((1, 0), (1, 1), 3))
+    # the beta of every element is checked to lie in Q
+    with pytest.raises(ValueError, match="is not in the root lattice"):
+        affine_exponent(mp, sigma, (1, 0), lam)
+    # list fields are read afresh on every call, not through the slot's key
+    listed = LambdaParam([1, 0], [1, 0], 3)
+    assert affine_exponent(mp, sigma, (1, 1), listed) == want
+    listed.sp[0] = 0
+    listed.lambda0[:] = [0, 1]
+    fresh = LambdaParam((0, 1), (0, 0), 3)
+    assert affine_exponent(mp, sigma, (1, 1), listed) == \
+        direct_exponent(mp, sigma, (1, 1), fresh) != want
+
+
+@pytest.mark.parametrize("t", [f"A{l}" for l in range(1, 9)] + [f"D{l}" for l in range(4, 9)]
+                         + ["E6", "E7", "E8"])
+def test_q_rows_decide_the_root_lattice(t):
+    # every class of P/Q meets the box, since it holds each omega_i
+    rs = build_root_system(t)
+    nodes = {"A": 1, "D": 2 if rs.rank % 2 == 0 else 1, "E": 0 if rs.rank == 8 else 1}
+    rows = _q_rows(rs)
+    assert len(rows) == nodes[rs.type.family]
+    for x in product((-1, 0, 1), repeat=rs.rank):
+        assert (not any(dot(row, x) % rs.det for row in rows)) == in_root_lattice(rs, x)
+
+
+def test_exponent_identity_builds_one_route_per_case(monkeypatch, a3):
+    from tripletw import affine
+
+    built = []
+    original = affine._build_route
+
+    def counting(mp, ctx, alpha, lambda0, sp):
+        built.append((alpha, lambda0, sp))
+        return original(mp, ctx, alpha, lambda0, sp)
+
+    monkeypatch.setattr(affine, "_build_route", counting)
+    _context(a3).route[0] = (None, None)  # so that the first case builds too
+    grid = GridSpec(types=("A3",), p_values=(4,))
+    assert run_check("exponent_identity", grid).status == "pass"
+    mp = build_model(a3, 4)
+    alphas = enum_dominant_in_Q(a3, grid.alpha_margin, relative=True)
+    cases = [(alpha, lam.lambda0, lam.sp) for lam in lambda_params(mp)
+             if narrow(mp, lam.sp) for alpha in alphas]
+    assert len(cases) > 1 and built == cases
+
+
+def test_affine_routes_look_up_no_products(d4):
+    mp = build_model(d4, 6)
+    ctx = _context(d4)
+    before = dict(ctx.products)
+    lams = [lam for lam in lambda_params(mp) if narrow(mp, lam.sp)]
+    for lam in lams:
+        w_char_affine(mp, (0,) * 4, lam, 2)
+    assert {lam.lambda0 for lam in lams} == set(ctx.labels)
+    assert ctx.products == before
 
 
 def test_cached_chamber_data_obeys_a_lower_weyl_cap(a2):

@@ -27,7 +27,7 @@ from tripletw import (
 from tripletw._exact import dot, int_vec, lattice_points, mat_mul, mat_vec
 from tripletw.params import lemma216_cond1, minus_w0, pq_class
 from tripletw.qseries import qseries
-from tripletw.rootsys import in_root_lattice
+from tripletw.rootsys import in_root_lattice, pair_with_rho
 
 # (name, integer Gram matrix, its inverse): the Cartan matrix and the
 # adjugate det C^-1, whose inverse is C / det
@@ -232,8 +232,10 @@ GATED = {
     "pq_class": (lambda x: pq_class(_A2, x), (1, 0)),
     "GridSpec.p_values": (lambda ps: GridSpec(p_values=ps).p_values, (3,)),
     "qseries": (lambda c: qseries(0, c), (1, 2)),
+    "qseries base": (lambda b: qseries(b[0], (1, 2)), (1,)),
     "norm_sq": (lambda x: norm_sq(_A2, x), (1, 0)),
     "pairing": (lambda x: pairing(_A2, x, (1, 1)), (1, 0)),
+    "pair_with_rho": (lambda x: pair_with_rho(_A2, x), (1, 0)),
 }
 
 
