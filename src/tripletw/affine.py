@@ -114,8 +114,9 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
     return True
 
 
-# Each maps a type to that type's table in its WeylContext, from the table's
-# first entry on.
+# Read by bench/tracing.py by name and never by the package: _CHAMBER_CACHE
+# maps a type to the chamber table of its WeylContext from the table's first
+# entry on.  _MU_CACHE stays empty, since mu_lambda is computed per call.
 _CHAMBER_CACHE: dict = {}
 _MU_CACHE: dict = {}
 
@@ -132,10 +133,13 @@ def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, Weyl
     rho give its key sigma_c rho.  Checks the Weyl cap on every call, cached
     or not.
     """
-    return _chamber_of(_context(rs), rs, lambda0)
+    return _chamber_of(_context(rs), rs, lambda0)[:3]
 
 
 def _chamber_of(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
+    """The chamber record of lambda0 in ctx.chambers, built on first use:
+    (omega, sigma_c, sigma_c^{-1}) of `_chamber`, then the label table of
+    the chamber and its fill, as `_label_table` gives them."""
     got = ctx.chambers.get(lambda0)
     if got is None:
         omega = lambda0_rep(rs, tuple(c + 1 for c in lambda0))
@@ -151,8 +155,9 @@ def _chamber_of(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
                 f"chamber element for lambda0={lambda0} has the wrong sign pattern")
         if not ctx.chambers:
             _CHAMBER_CACHE[rs.type] = ctx.chambers
+        sigma_c = ctx.elems[ctx.inverse(sigma_c_inv.index)]
         got = ctx.chambers[lambda0] = (
-            omega, ctx.elems[ctx.inv[sigma_c_inv.index]], sigma_c_inv)
+            omega, sigma_c, sigma_c_inv, *_label_table(ctx, omega, sigma_c))
     return got
 
 
@@ -195,37 +200,27 @@ def mu_lambda(mp: ModelParams, lam: LambdaParam) -> AffineWeight:
     sigma_c(-p omega + s + rho) - rho, with sigma_c, omega from lambda0."""
     _check_p(mp, lam.p)
     rs = mp.rs
-    return _mu_of(mp, _context(rs), int_vec(lam.lambda0, rs.rank), _digits(mp, lam.sp))
+    ctx = _context(rs)
+    lambda0 = int_vec(lam.lambda0, rs.rank)
+    sp = _digits(mp, lam.sp)
+    omega, sigma_c, *_ = _chamber_of(ctx, rs, lambda0)
+    inner = tuple([-mp.p * o + s + 1 for o, s in zip(omega, sp)])
+    return AffineWeight(classical=tuple([c - 1 for c in act(sigma_c, inner)]),
+                        level=mp.k, delta_coeff=Fraction(0))
 
 
-def _mu_of(mp: ModelParams, ctx: WeylContext, lambda0: IntVec, sp: IntVec) -> AffineWeight:
-    # lambda0 and the digits sp are gated tuples
-    key = (mp.p, lambda0, sp)
-    got = ctx.mu.get(key)
-    if got is None:
-        rs = mp.rs
-        omega, sigma_c, _ = _chamber_of(ctx, rs, lambda0)
-        inner = tuple(-mp.p * o + s + 1 for o, s in zip(omega, sp))
-        classical = tuple(c - 1 for c in act(sigma_c, inner))
-        if not ctx.mu:
-            _MU_CACHE[rs.type] = ctx.mu
-        got = ctx.mu[key] = AffineWeight(classical=classical, level=mp.k,
-                                         delta_coeff=Fraction(0))
-    return got
-
-
-def _label_table(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
-    """(table, fill) for the chamber of lambda0, kept in ctx.labels.
+def _label_table(ctx: WeylContext, omega: IntVec, sigma_c: WeylElement):
+    """(table, fill), the label table of the chamber (omega, sigma_c).
 
     For the label sigma = elems[i], table[i] is None until fill(i) stores
     (tau(omega), rows of w^-1, rows of w) with tau = sigma^-1 and
-    w = tau sigma_c^-1.  The key of w, w^-1 rho = sigma_c sigma rho, gives
-    its index, so no product is looked up or stored.  tau(omega) runs over
-    the orbit W omega, small for a minuscule omega, and each vector of it is
+    w = tau sigma_c^-1.  Keys give all three elements: sigma rho is the key
+    of tau, sigma_c sigma rho the key of w, and w rho the key of w^-1, so no
+    product or inverse is looked up or stored.  tau(omega) runs over the
+    orbit W omega, small for a minuscule omega, and each vector of it is
     stored once.
     """
-    omega, sigma_c, _ = _chamber_of(ctx, rs, lambda0)
-    elems, inv, by_key = ctx.elems, ctx.inv, ctx.by_key
+    elems, by_key = ctx.elems, ctx.by_key
     c_rows = sigma_c.matrix
     table = [None] * len(elems)
     orbit = {}
@@ -233,19 +228,19 @@ def _label_table(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
     def fill(i: int):
         sigma_rho = tuple(map(sum, elems[i].matrix))
         w = elems[by_key[tuple([sum(map(mul, row, sigma_rho)) for row in c_rows])]]
-        t = act(elems[inv[i]], omega)
-        got = table[i] = (orbit.setdefault(t, t), elems[inv[w.index]].matrix, w.matrix)
+        t = act(elems[by_key[sigma_rho]], omega)
+        got = table[i] = (orbit.setdefault(t, t), elems[ctx.inverse(w.index)].matrix,
+                          w.matrix)
         return got
 
-    got = ctx.labels[lambda0] = (table, fill)
-    return got
+    return table, fill
 
 
 class _Route(NamedTuple):
     """One (alpha, lambda) of the affine route; see `_affine_route`.
     kernel(route, labels) gives 2 p det times the exponent of each label."""
     kernel: Callable
-    table: list      # the label table of lambda0, filled by fill(i)
+    table: list      # the label table of lambda0's chamber, filled by fill(i)
     fill: Callable
     v: IntVec        # alpha + lambda0 + rho
     m: IntVec        # mu_bar + rho, mu_bar the classical part of mu_lambda
@@ -294,8 +289,8 @@ def _build_route(mp: ModelParams, ctx: WeylContext, alpha: IntVec,
                  lambda0: IntVec, sp: IntVec) -> _Route:
     require_narrow(mp, sp)
     rs = mp.rs
-    table, fill = ctx.labels.get(lambda0) or _label_table(ctx, rs, lambda0)
-    m = tuple([c + 1 for c in _mu_of(mp, ctx, lambda0, sp).classical])
+    omega, sigma_c, _, table, fill = _chamber_of(ctx, rs, lambda0)
+    m = act(sigma_c, tuple([-mp.p * o + s + 1 for o, s in zip(omega, sp)]))
     v = tuple([a + l0 + 1 for a, l0 in zip(alpha, lambda0)])
     return _Route(ctx.kernel[0] or _route_kernel(ctx, rs), table, fill, v, m,
                   mp.p, 2 * mp.p * rs.det)

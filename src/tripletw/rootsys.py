@@ -327,31 +327,24 @@ def root_coords_int(rs: RootSystem, mu) -> IntVec:
 class WeylContext(NamedTuple):
     """The Weyl group of one type, listed as the orbit of rho.
 
-    Element i is elems[i], with elems[i].index == i.  Its key, keys[i], is
-    w^-1 rho; rho is regular, so the key determines the element.  The key of
-    w s_i is s_i(key) = key - key_i C[i], the key of w^-1 is w rho, and the
-    key of u v is v^-1(u^-1 rho), so inverses, products and matrix lookups
-    are key lookups.  `compose` fills its table on integer keys i |W| + j as
-    pairs are asked for; `chambers`, `mu` and `labels` (which `affine` owns)
-    fill on first use too.  `route`, `kernel` and `pulled` are one-item
-    lists, each a slot replaced or filled by one assignment: `affine` keeps
-    its last route in `route` and the type's compiled route kernel in
-    `kernel`, and `verify._pulled_roots` the positive roots pulled back
-    through every element in `pulled`.  Nothing here checks the Weyl cap:
-    `_context`, the one door to a context, does.
+    Element i is elems[i], with elems[i].index == i.  Its key is w^-1 rho;
+    rho is regular, so the key determines the element, and by_key maps it
+    to i.  The key of w^-1 is w rho, the row sums of w's matrix, and the
+    key of (u v)^-1 is u(v rho), so inverses, products and matrix lookups
+    are key lookups and no table of them is kept.  `chambers` (which
+    `affine` owns) fills on first use.  `route`, `kernel` and `pulled` are
+    one-item lists, each a slot replaced or filled by one assignment:
+    `affine` keeps its last route in `route` and the type's compiled route
+    kernel in `kernel`, and `verify._pulled_roots` the positive roots
+    pulled back through every element in `pulled`.  Nothing here checks
+    the Weyl cap: `_context`, the one door to a context, does.
     """
     elems: tuple[WeylElement, ...]
-    keys: tuple[IntVec, ...]
-    by_key: dict[IntVec, int]           # key -> element index
-    inv: tuple[int, ...]                # index of each element's inverse
-    products: dict[int, int]            # i |W| + j -> index of w_i w_j
-    chambers: dict                      # lambda0 -> affine._chamber data
-    mu: dict                            # (p, lambda0, sp) -> affine.mu_lambda
-    labels: dict                        # lambda0 -> affine label table
+    by_key: dict[IntVec, int]           # key w^-1 rho -> element index
+    chambers: dict                      # lambda0 -> affine._chamber_of record
     route: list                         # [(key, route)], the last affine route
     kernel: list                        # [affine route kernel], or [None]
     pulled: list                        # [pulled-back roots], or [None]
-    type: CartanType
 
     def find(self, w: WeylElement) -> int:
         """The index of w; an element built elsewhere is found by its matrix."""
@@ -360,30 +353,30 @@ class WeylContext(NamedTuple):
             return i
         return self.by_matrix(w.matrix)
 
+    def inverse(self, i: int) -> int:
+        return self.by_key[tuple(map(sum, self.elems[i].matrix))]
+
     def by_matrix(self, matrix) -> int:
         j = self.by_key.get(tuple(map(sum, matrix)))  # w rho, the key of w^-1
-        if j is not None and self.elems[self.inv[j]].matrix == matrix:
-            return self.inv[j]
+        if j is not None:
+            i = self.inverse(j)
+            if self.elems[i].matrix == matrix:
+                return i
         raise ValueError("matrix is not a Weyl group action")
 
     def compose(self, i: int, j: int) -> int:
-        k = i * len(self.elems) + j
-        got = self.products.get(k)
-        if got is None:
-            if not self.products:
-                _COMPOSE_CACHE[self.type] = self.products
-            x = self.keys[i]
-            key = tuple([sum(map(mul, row, x)) for row in self.elems[self.inv[j]].matrix])
-            got = self.products[k] = self.by_key[key]
-        return got
+        v_rho = tuple(map(sum, self.elems[j].matrix))
+        key = tuple([sum(map(mul, row, v_rho)) for row in self.elems[i].matrix])
+        return self.inverse(self.by_key[key])
 
 
-# Each maps a type to its table in that type's WeylContext from the first entry
-# on, for bench/tracing.py; written, never read.  _ROOT_ACTION_CACHE stays empty.
+# Read by bench/tracing.py by name and never by the package: _WEYL_CACHE maps
+# a type to its WeylContext once W is listed.  The others stay empty, since
+# no inverse, product or root-action table is kept.
 _WEYL_CACHE: dict[CartanType, WeylContext] = {}
-_INV_CACHE: dict[CartanType, tuple[int, ...]] = {}
-_COMPOSE_CACHE: dict[CartanType, dict[int, int]] = {}
-_ROOT_ACTION_CACHE: dict[CartanType, dict[int, IntMat]] = {}
+_INV_CACHE: dict = {}
+_COMPOSE_CACHE: dict = {}
+_ROOT_ACTION_CACHE: dict = {}
 
 
 def check_weyl_cap(rs: RootSystem):
@@ -431,11 +424,8 @@ def _enumerate(rs: RootSystem) -> WeylContext:
     if len(elems) != rs.weyl_order:
         raise RuntimeError(f"enumerated {len(elems)} Weyl elements of {rs.type}, "
                            f"expected {rs.weyl_order}")
-    inv = tuple([by_key[tuple(map(sum, w.matrix))] for w in elems])
-    got = WeylContext(tuple(elems), tuple(keys), by_key, inv, {}, {}, {}, {},
-                      [(None, None)], [None], [None], rs.type)
+    got = WeylContext(tuple(elems), by_key, {}, [(None, None)], [None], [None])
     _WEYL_CACHE[rs.type] = got
-    _INV_CACHE[rs.type] = inv
     return got
 
 
@@ -467,7 +457,7 @@ def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement) -> WeylElement:
 
 def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
     ctx = _context(rs)
-    return ctx.elems[ctx.inv[ctx.find(w)]]
+    return ctx.elems[ctx.inverse(ctx.find(w))]
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

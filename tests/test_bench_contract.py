@@ -76,6 +76,17 @@ def test_hooked_functions_keep_their_argument_positions(tracing, m, f, leading):
     assert tuple(params[:len(leading)]) == leading
 
 
+def test_enumerate_returns_the_listing_first():
+    # the tracer's _enumerate hook counts len(out[0]) as the elements listed
+    from tripletw.rootsys import _enumerate, build_root_system, weyl_enumerate
+
+    rs = build_root_system("A3")
+    out = _enumerate(rs)
+    assert isinstance(out, tuple)
+    assert out[0] == weyl_enumerate(rs)
+    assert len(out[0]) == rs.weyl_order
+
+
 def test_a_traced_run_reports_every_layer_metric(tracing):
     import tripletw as tw
 

@@ -5,6 +5,7 @@ import pytest
 from tripletw import (
     CheckReport,
     GridSpec,
+    LambdaParam,
     build_model,
     build_root_system,
     lambda_params,
@@ -14,7 +15,7 @@ from tripletw import (
 )
 from tripletw._exact import mat_vec, sqrt_floor, sqrt_upper
 from tripletw.affine import lemma39_test
-from tripletw.rootsys import norm_sq
+from tripletw.rootsys import WEYL_CAP, CapExceeded, norm_sq
 from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, _brute_pairs, _cases, all_passed
 
 SMALL = GridSpec(types=("A1",), p_values=(2, 3), order=12, cross_order=8,
@@ -183,3 +184,24 @@ def test_brute_pairs_keep_their_definition_on_a3():
         assert brute == _lemma39_pairs(mp, alpha, lam, elems)
         hits += len(brute)
     assert hits > 0
+
+
+def test_the_alcove_ball_lies_inside_the_v_plus_2_ball():
+    # |beta| <= |v| + R/p, and (R/p)^2 = max_i (C^-1)_ii / m_i^2 is at most 4
+    # through A15, D16 and E8 (equal on A15); past them _brute_pairs refuses
+    kept = [f"A{l}" for l in range(1, 16)] + [f"D{l}" for l in range(4, 17)]
+    kept += ["E6", "E7", "E8"]
+    token = WEYL_CAP.set(1)  # every call stops at the Weyl listing, after the guard
+    try:
+        for t in kept + ["A16", "D17"]:
+            rs = build_root_system(t)
+            mp = build_model(rs, 2)
+            zero = (0,) * rs.rank
+            ratio = max(rs.inv_cartan[i][i] / (m * m) for i, m in enumerate(rs.theta_root))
+            assert (ratio <= 4) == (t in kept), t
+            # CapExceeded is a RuntimeError too, so the refusal is told by its text
+            with pytest.raises(CapExceeded if t in kept else RuntimeError,
+                               match="enumeration needs" if t in kept else "alcove ball"):
+                _brute_pairs(mp, zero, LambdaParam(zero, zero, 2), ())
+    finally:
+        WEYL_CAP.reset(token)
