@@ -12,17 +12,10 @@ matrix come from the same LDL^T (`_exact._ldl`) the lattice enumerator uses.
 """
 
 from .affine import (
-    AffineWeight,
-    AffineWeylElement,
-    aff_act,
-    aff_circ,
-    aff_mul,
     affine_exponent,
     direct_exponent,
     lemma39_test,
     lemma310_construct,
-    mu_lambda,
-    y_sigma,
 )
 from .params import (
     LambdaParam,
@@ -83,8 +76,6 @@ from .verify import CheckReport, GridSpec, run_all, run_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineWeight",
-    "AffineWeylElement",
     "CapExceeded",
     "CartanType",
     "CheckReport",
@@ -101,9 +92,6 @@ __all__ = [
     "WEYL_CAP",
     "WeylElement",
     "act",
-    "aff_act",
-    "aff_circ",
-    "aff_mul",
     "affine_exponent",
     "build_model",
     "build_root_system",
@@ -128,7 +116,6 @@ __all__ = [
     "lemma39_test",
     "longest_element",
     "module_char",
-    "mu_lambda",
     "narrow",
     "narrow_margin",
     "norm_sq",
@@ -145,5 +132,4 @@ __all__ = [
     "w_char_affine",
     "weyl_dim",
     "weyl_enumerate",
-    "y_sigma",
 ]

@@ -45,8 +45,7 @@ def int_vec(x, rank: int) -> IntVec:
 
 
 # dot and mat_vec are the package's shared kernels (pairings, Weyl actions,
-# the direct orbit exponent); mat_mul is the reference product the tests
-# check Weyl matrices against.  Each sum runs in C through map(mul, ...), so
+# the direct orbit exponent).  Each sum runs in C through map(mul, ...), so
 # the lengths are checked up front, since map stops silently at the shorter
 # input.
 
@@ -64,29 +63,8 @@ def mat_vec(m: IntMat, v):
     return tuple([sum(map(mul, row, v)) for row in m])
 
 
-def mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    k = len(b)
-    for row in a:
-        if len(row) != k:
-            raise ValueError("dimension mismatch")
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
 def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def sqrt_floor(x: Fraction) -> int:
-    """Largest integer n >= 0 with n*n <= x, for x >= 0."""
-    if x < 0:
-        raise ValueError("negative argument")
-    n = isqrt(x.numerator // x.denominator)
-    while (n + 1) * (n + 1) * x.denominator <= x.numerator:
-        n += 1
-    while n * n * x.denominator > x.numerator:
-        n -= 1
-    return n
 
 
 def sqrt_upper(x: Fraction) -> Fraction:

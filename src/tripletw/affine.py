@@ -1,25 +1,25 @@
 """Affine Weyl group machinery over a fixed model.
 
-Elements are pairs (sigma, beta) in W x Q acting as sigma t_beta; weights at
-level k live on the classical slice plus level and delta bookkeeping.  The
-chamber test, the constructed chamber representative (omega, sigma, beta)
-attached to a class parameter, the alcove elements y, and the resulting
-orbit exponents feeding the character sums all live here.
+An affine Weyl element is a pair (sigma, beta) in W x Q acting as
+sigma t_beta.  The chamber test, the constructed chamber representative
+(omega, sigma, beta) attached to a class parameter, and the orbit exponents
+of the alcove elements y, which feed the character sums, live here.  Only
+the classical part of y acting on the chamber weight enters an exponent, so
+no affine weight or element is built: the route carries w, beta and the
+classical weight as plain tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple
 
-from ._exact import IntMat, IntVec, dot, int_vec, mat_vec
+from ._exact import IntMat, IntVec, dot, int_vec
 from .params import (
     LambdaParam,
     ModelParams,
     _check_p,
-    _digits,
     lambda0_rep,
     require_narrow,
 )
@@ -34,59 +34,7 @@ from .rootsys import (
     reflect,
     root_coords_int,
     root_to_fund,
-    weyl_compose,
-    weyl_inverse,
 )
-
-
-@dataclass(frozen=True)
-class AffineWeight:
-    classical: tuple   # fundamental coordinates of the classical part
-    level: Fraction | int
-    delta_coeff: Fraction | int
-
-
-@dataclass(frozen=True)
-class AffineWeylElement:
-    sigma: WeylElement
-    beta: IntVec       # translation part, simple-root coordinates
-
-
-def aff_mul(rs: RootSystem, y1: AffineWeylElement, y2: AffineWeylElement) -> AffineWeylElement:
-    """(sigma1 t_b1)(sigma2 t_b2) = (sigma1 sigma2) t_{sigma2^{-1} b1 + b2}."""
-    sigma = weyl_compose(rs, y1.sigma, y2.sigma)
-    inv2 = tuple(zip(*y2.sigma.matrix))  # sigma2^{-1} on root coordinates
-    beta = tuple(a + b for a, b in zip(mat_vec(inv2, y1.beta), y2.beta))
-    return AffineWeylElement(sigma=sigma, beta=beta)
-
-
-def aff_act(rs: RootSystem, y: AffineWeylElement, mu: AffineWeight) -> AffineWeight:
-    """Classical part sigma(mu_bar + level * beta); level preserved; the
-    delta coefficient picks up -(mu_bar, beta) - |beta|^2 level / 2."""
-    if len(mu.classical) != rs.rank:
-        raise ValueError("dimension mismatch")
-    beta_f = root_to_fund(rs, y.beta)
-    delta = (mu.delta_coeff - dot(mu.classical, y.beta)
-             - Fraction(dot(beta_f, y.beta), 2) * mu.level)
-    classical = act(y.sigma, tuple([c + mu.level * b for c, b in zip(mu.classical, beta_f)]))
-    return AffineWeight(classical=classical, level=mu.level, delta_coeff=delta)
-
-
-def aff_circ(mp: ModelParams, y: AffineWeylElement, mu: AffineWeight) -> AffineWeight:
-    """The shifted action, conjugated by rho + h Lambda0."""
-    rs = mp.rs
-    h = rs.coxeter_h
-    shifted = AffineWeight(
-        classical=tuple(c + 1 for c in mu.classical),
-        level=mu.level + h,
-        delta_coeff=mu.delta_coeff,
-    )
-    out = aff_act(rs, y, shifted)
-    return AffineWeight(
-        classical=tuple(c - 1 for c in out.classical),
-        level=out.level - h,
-        delta_coeff=out.delta_coeff,
-    )
 
 
 def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
@@ -116,7 +64,8 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
 
 # Read by bench/tracing.py by name and never by the package: _CHAMBER_CACHE
 # maps a type to the chamber table of its WeylContext from the table's first
-# entry on.  _MU_CACHE stays empty, since mu_lambda is computed per call.
+# entry on.  _MU_CACHE stays empty: the chamber weight mu_lambda is kept only
+# inside the route that uses it.
 _CHAMBER_CACHE: dict = {}
 _MU_CACHE: dict = {}
 
@@ -177,38 +126,6 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
     return omega, sigma, beta
 
 
-def y_sigma(mp: ModelParams, sigma: WeylElement, alpha, lambda0) -> AffineWeylElement:
-    """t_{sigma(omega) - (alpha + lambda0 + rho)} sigma sigma_c^{-1}, where
-    sigma_c is the chamber element of lambda0; returned in normal form
-    (w, beta) with w t_beta = t_gamma w, beta = w^{-1}(gamma) in Q."""
-    rs = mp.rs
-    alpha = int_vec(alpha, rs.rank)
-    lambda0 = int_vec(lambda0, rs.rank)
-    omega, _, sigma_c_inv = _chamber(rs, lambda0)
-    gamma = tuple([
-        so - (a + l0 + 1)
-        for so, a, l0 in zip(act(sigma, omega), alpha, lambda0, strict=True)
-    ])
-    w = weyl_compose(rs, sigma, sigma_c_inv)
-    # gamma is in Q exactly when alpha + lambda0 + rho - omega is
-    beta = root_coords_int(rs, act(weyl_inverse(rs, w), gamma))
-    return AffineWeylElement(sigma=w, beta=beta)
-
-
-def mu_lambda(mp: ModelParams, lam: LambdaParam) -> AffineWeight:
-    """The chamber weight of lambda at level k = p - h:
-    sigma_c(-p omega + s + rho) - rho, with sigma_c, omega from lambda0."""
-    _check_p(mp, lam.p)
-    rs = mp.rs
-    ctx = _context(rs)
-    lambda0 = int_vec(lam.lambda0, rs.rank)
-    sp = _digits(mp, lam.sp)
-    omega, sigma_c, *_ = _chamber_of(ctx, rs, lambda0)
-    inner = tuple([-mp.p * o + s + 1 for o, s in zip(omega, sp)])
-    return AffineWeight(classical=tuple([c - 1 for c in act(sigma_c, inner)]),
-                        level=mp.k, delta_coeff=Fraction(0))
-
-
 def _label_table(ctx: WeylContext, omega: IntVec, sigma_c: WeylElement):
     """(table, fill), the label table of the chamber (omega, sigma_c).
 
@@ -243,7 +160,7 @@ class _Route(NamedTuple):
     table: list      # the label table of lambda0's chamber, filled by fill(i)
     fill: Callable
     v: IntVec        # alpha + lambda0 + rho
-    m: IntVec        # mu_bar + rho, mu_bar the classical part of mu_lambda
+    m: IntVec        # mu_bar + rho = sigma_c(-p omega + s + rho)
     p: int
     den: int         # 2 p det
 
@@ -251,16 +168,19 @@ class _Route(NamedTuple):
 def _affine_route(mp: ModelParams, alpha, lam: LambdaParam) -> tuple[WeylContext, _Route]:
     """(ctx, route) for one (alpha, lambda).
 
-    Defined only under the narrow condition.  For the label sigma the orbit
-    element is y_{sigma^{-1}} = w t_beta with tau = sigma^{-1},
-    w = tau sigma_c^{-1} and beta = w^{-1}(tau(omega) - v) in Q,
-    v = alpha + lambda0 + rho, as in `y_sigma`.  Labelling by the inverse
-    makes the exponent agree with the direct character exponent of the same
-    sigma term by term; the signed sums agree either way since inversion
-    preserves length.  Only the classical part of y circ mu_lambda is
-    computed: conjugating by rho + h Lambda0, it is y acting on
-    mu_lambda + rho at level k + h = p, w(mu_bar + rho + p beta).  The delta
-    coefficient never enters the exponent.
+    Defined only under the narrow condition.  With (omega, sigma_c) the
+    chamber data of lambda0 and v = alpha + lambda0 + rho, the orbit element
+    of tau in W is y_tau = t_{tau(omega) - v} tau sigma_c^{-1}, in normal
+    form w t_beta with w = tau sigma_c^{-1} and beta = w^{-1}(tau(omega) - v)
+    in Q.  The label sigma gets y_tau with tau = sigma^{-1}: labelling by
+    the inverse makes the exponent agree with the direct character exponent
+    of the same sigma term by term; the signed sums agree either way since
+    inversion preserves length.  y acts on the chamber weight mu_lambda at
+    level k = p - h, whose classical part is
+    mu_bar = sigma_c(-p omega + s + rho) - rho.  Only the classical part of
+    y circ mu_lambda is computed: conjugating by rho + h Lambda0, it is y
+    acting on mu_lambda + rho at level k + h = p, w(mu_bar + rho + p beta).
+    The delta coefficient never enters the exponent.
 
     Every call checks the Weyl cap, gates alpha, lambda0 and the digits to
     int tuples, and checks p.  The route is then kept in ctx.route under
@@ -375,8 +295,8 @@ def _route_kernel(ctx: WeylContext, rs: RootSystem) -> Callable:
 def affine_exponent(mp: ModelParams, sigma: WeylElement, alpha,
                     lam: LambdaParam) -> Fraction:
     """Orbit exponent (1/2p)|classical part of y circ mu_lambda, plus rho|^2,
-    where the orbit element attached to the label sigma is y_{sigma^{-1}};
-    see `_affine_route`."""
+    where the orbit element attached to the label sigma is y_{sigma^{-1}}
+    and mu_lambda is the chamber weight of lam; see `_affine_route`."""
     ctx, route = _affine_route(mp, alpha, lam)
     return Fraction(route.kernel(route, (ctx.find(sigma),))[0], route.den)
 

@@ -164,14 +164,6 @@ class WeylElement:
     # position in the type's WeylContext; -1 for an element built elsewhere
     index: int = field(default=-1, compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def sign(self) -> int:
-        return -1 if len(self.word) % 2 else 1
-
 
 def reflect(cartan: IntMat, x, i: int) -> tuple:
     """s_i x = x - x_i C[i] on fundamental coordinates, for a letter i in 1..l."""
@@ -282,18 +274,6 @@ def norm_sq(rs: RootSystem, mu) -> Fraction:
     return pairing(rs, mu, mu)
 
 
-def pair_with_rho(rs: RootSystem, mu) -> Fraction:
-    """(mu, rho), computed through 2 rho = sum of positive roots; as in
-    `pairing`, a form value that is neither an int nor a Fraction raises
-    ValueError."""
-    s = dot(mu, rs.two_rho_root)
-    if isinstance(s, int):
-        return Fraction(s, 2)
-    if isinstance(s, Fraction):
-        return s / 2
-    raise ValueError(f"form value {s!r} is neither an int nor a Fraction")
-
-
 def root_to_fund(rs: RootSystem, r):
     return mat_vec(rs.cartan, r)
 
@@ -347,32 +327,27 @@ class WeylContext(NamedTuple):
     pulled: list                        # [pulled-back roots], or [None]
 
     def find(self, w: WeylElement) -> int:
-        """The index of w; an element built elsewhere is found by its matrix."""
+        """The index of w.  An element built elsewhere is found by its
+        matrix: w rho is the key of w^-1, and the inverse of that element
+        must have w's matrix, or ValueError is raised."""
         i = w.index
         if 0 <= i < len(self.elems) and self.elems[i] is w:
             return i
-        return self.by_matrix(w.matrix)
+        j = self.by_key.get(tuple(map(sum, w.matrix)))
+        if j is not None:
+            i = self.inverse(j)
+            if self.elems[i].matrix == w.matrix:
+                return i
+        raise ValueError("matrix is not a Weyl group action")
 
     def inverse(self, i: int) -> int:
         return self.by_key[tuple(map(sum, self.elems[i].matrix))]
 
-    def by_matrix(self, matrix) -> int:
-        j = self.by_key.get(tuple(map(sum, matrix)))  # w rho, the key of w^-1
-        if j is not None:
-            i = self.inverse(j)
-            if self.elems[i].matrix == matrix:
-                return i
-        raise ValueError("matrix is not a Weyl group action")
-
-    def compose(self, i: int, j: int) -> int:
-        v_rho = tuple(map(sum, self.elems[j].matrix))
-        key = tuple([sum(map(mul, row, v_rho)) for row in self.elems[i].matrix])
-        return self.inverse(self.by_key[key])
-
 
 # Read by bench/tracing.py by name and never by the package: _WEYL_CACHE maps
-# a type to its WeylContext once W is listed.  The others stay empty, since
-# no inverse, product or root-action table is kept.
+# a type to its WeylContext once W is listed.  The other three stay empty:
+# the package keeps no table of inverses, products or root actions, so the
+# metrics read off them are 0.
 _WEYL_CACHE: dict[CartanType, WeylContext] = {}
 _INV_CACHE: dict = {}
 _COMPOSE_CACHE: dict = {}
@@ -444,47 +419,11 @@ def weyl_enumerate(rs: RootSystem) -> tuple[WeylElement, ...]:
     return _context(rs).elems
 
 
-def weyl_by_matrix(rs: RootSystem, matrix: IntMat) -> WeylElement:
-    """The canonical element with the given action matrix."""
-    ctx = _context(rs)
-    return ctx.elems[ctx.by_matrix(matrix)]
-
-
-def weyl_compose(rs: RootSystem, u: WeylElement, v: WeylElement) -> WeylElement:
-    ctx = _context(rs)
-    return ctx.elems[ctx.compose(ctx.find(u), ctx.find(v))]
-
-
-def weyl_inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    ctx = _context(rs)
-    return ctx.elems[ctx.inverse(ctx.find(w))]
-
-
 def longest_element(rs: RootSystem) -> WeylElement:
     """w0 from the Cartan matrix, with no Weyl listing and no cap: the
     `dominant_word` of w0 rho = -rho is the lex-least reduced word of w0,
     the word `weyl_enumerate` gives it."""
     return rs._w0
-
-
-def root_action(rs: RootSystem, w: WeylElement) -> IntMat:
-    """The action matrix of w on simple-root coordinates (integer entries).
-
-    w preserves the pairing x . r of fundamental and root coordinates, so
-    (M x) . (R r) = x . r, and R is the transpose of the matrix of w^-1.
-    """
-    return tuple(zip(*weyl_inverse(rs, w).matrix))
-
-
-def inversion_count(rs: RootSystem, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    m = root_action(rs, w)
-    n = 0
-    for r in rs.positive_roots:
-        img = mat_vec(m, r)
-        if any(c < 0 for c in img):
-            n += 1
-    return n
 
 
 # --- actions and classical helpers ----------------------------------------

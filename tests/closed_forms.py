@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own algorithms: the
 partition counter uses Euler's pentagonal recurrence instead of the
 product-expansion loop, the multi-colour counts come from repeated
 convolution of that table, the Weyl denominator product is built from
-the positive roots alone, with no Weyl group, and the A1 module character
+the positive roots alone, with no Weyl group, on whichever side of the
+exponent is not rho, and the A1 module character
 is a published bilateral theta series, with no lattice or orbit walk.
 """
 
@@ -58,23 +59,35 @@ def colored_partitions(colors: int, upto: int):
     return out
 
 
-def weyl_denominator_char(positive_roots, inv_cartan, p, v, upto):
-    """The signed Weyl character at lambda0 = 0, sp = 0 by the Weyl
-    denominator identity, with v = alpha + rho in fundamental coordinates:
+def weyl_denominator_char(positive_roots, inv_cartan, p, v, u, upto):
+    """The signed Weyl character sum_sigma eps(sigma) q^(|p sigma(v) - u|^2 / 2p)
+    / eta^l, with v = alpha + lambda0 + rho and u = s + rho in fundamental
+    coordinates, one of which must be rho.  The term of sigma sits
+    (v - sigma v, u) above |p v - u|^2 / 2p, so by the Weyl denominator
+    identity the sum is
 
-        q^(|p v - rho|^2 / 2p - l/24) prod_{a > 0} (1 - q^(v, a)) / prod_n (1 - q^n)^l.
+        q^(|p v - u|^2 / 2p - l/24) prod_{a > 0} (1 - q^(x, a)) / prod_n (1 - q^n)^l,
 
-    The roots are in simple-root coordinates, so (v, a) is a plain dot
-    product; |.|^2 is taken in the inverse Cartan form.  Returns the base
-    exponent and the coefficients through q^(base + upto).
+    with x = v when u = rho (sp = 0) and x = u when v = rho
+    (alpha = lambda0 = 0).  The roots are in simple-root coordinates, so
+    (x, a) is a plain dot product; |.|^2 is taken in the inverse Cartan
+    form.  Returns the base exponent and the coefficients through
+    q^(base + upto).
     """
     l = len(v)
-    w = [p * c - 1 for c in v]
+    rho = (1,) * l
+    if tuple(u) == rho:
+        x = v
+    elif tuple(v) == rho:
+        x = u
+    else:
+        raise ValueError("one of v and u must be rho")
+    w = [p * a - b for a, b in zip(v, u)]
     norm = sum(w[i] * inv_cartan[i][j] * w[j] for i in range(l) for j in range(l))
     base = Fraction(norm) / (2 * p) - Fraction(l, 24)
     num = [1] + [0] * upto
     for a in positive_roots:
-        k = sum(c * r for c, r in zip(v, a))
+        k = sum(c * r for c, r in zip(x, a))
         factor = [1] + [0] * upto
         if k <= upto:
             factor[k] -= 1

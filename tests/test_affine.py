@@ -1,45 +1,35 @@
+import ast
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affine_reference as R
 from tripletw import (
     WEYL_CAP,
-    AffineWeight,
-    AffineWeylElement,
     CapExceeded,
     GridSpec,
     LambdaParam,
     NarrowViolation,
-    aff_act,
-    aff_circ,
-    aff_mul,
     affine_exponent,
     build_model,
     build_root_system,
     direct_exponent,
     lemma310_construct,
     lemma39_test,
-    mu_lambda,
     norm_sq,
     run_check,
     weyl_enumerate,
-    y_sigma,
 )
-from tripletw._exact import dot, mat_vec
+from tripletw._exact import dot
 from tripletw.affine import _chamber, _q_rows
 from tripletw.params import lambda0_rep, lambda0_set, lambda_params, lambda_x, narrow
-from tripletw.rootsys import (
-    _context,
-    enum_dominant_in_Q,
-    in_root_lattice,
-    root_action,
-    weyl_inverse,
-)
+from tripletw.rootsys import _context, enum_dominant_in_Q, in_root_lattice
 from tripletw.qseries import _fock_scaled, w_char_affine
 
 
@@ -51,9 +41,9 @@ def _elem(rs, word):
 
 
 def test_aff_act_example(a1):
-    y = AffineWeylElement(sigma=_elem(a1, ()), beta=(-1,))
-    mu = AffineWeight(classical=(1,), level=2, delta_coeff=0)
-    out = aff_act(a1, y, mu)
+    y = R.AffineWeylElement(sigma=_elem(a1, ()), beta=(-1,))
+    mu = R.AffineWeight(classical=(1,), level=2, delta_coeff=0)
+    out = R.aff_act(a1, y, mu)
     assert out.classical == (-3,)
     assert out.level == 2
     assert out.delta_coeff == -1
@@ -61,18 +51,18 @@ def test_aff_act_example(a1):
 
 def test_aff_act_level_zero_translates_nothing(a2):
     # at level 0 a pure translation shifts only the delta bookkeeping
-    y = AffineWeylElement(sigma=_elem(a2, ()), beta=(1, -2))
-    mu = AffineWeight(classical=(3, 5), level=0, delta_coeff=0)
-    out = aff_act(a2, y, mu)
+    y = R.AffineWeylElement(sigma=_elem(a2, ()), beta=(1, -2))
+    mu = R.AffineWeight(classical=(3, 5), level=0, delta_coeff=0)
+    out = R.aff_act(a2, y, mu)
     assert out.classical == (3, 5)
     assert out.delta_coeff == -(3 * 1 + 5 * (-2))
 
 
 def test_aff_circ_example(a1):
     mp = build_model(a1, 2)
-    y = AffineWeylElement(sigma=_elem(a1, ()), beta=(-1,))
-    mu = AffineWeight(classical=(0,), level=0, delta_coeff=0)
-    out = aff_circ(mp, y, mu)
+    y = R.AffineWeylElement(sigma=_elem(a1, ()), beta=(-1,))
+    mu = R.AffineWeight(classical=(0,), level=0, delta_coeff=0)
+    out = R.aff_circ(mp, y, mu)
     assert out.classical == (-4,)
     assert out.level == 0
     assert out.delta_coeff == -1
@@ -96,11 +86,11 @@ def test_aff_mul_matches_composition(data):
     rs = build_root_system("A2")
     i, j, b1, b2, cl, lev = data
     elems = weyl_enumerate(rs)
-    y1 = AffineWeylElement(sigma=elems[i], beta=b1)
-    y2 = AffineWeylElement(sigma=elems[j], beta=b2)
-    mu = AffineWeight(classical=cl, level=lev, delta_coeff=Fraction(1, 3))
-    lhs = aff_act(rs, aff_mul(rs, y1, y2), mu)
-    rhs = aff_act(rs, y1, aff_act(rs, y2, mu))
+    y1 = R.AffineWeylElement(sigma=elems[i], beta=b1)
+    y2 = R.AffineWeylElement(sigma=elems[j], beta=b2)
+    mu = R.AffineWeight(classical=cl, level=lev, delta_coeff=Fraction(1, 3))
+    lhs = R.aff_act(rs, R.aff_mul(rs, y1, y2), mu)
+    rhs = R.aff_act(rs, y1, R.aff_act(rs, y2, mu))
     assert lhs == rhs
 
 
@@ -131,18 +121,18 @@ def test_lemma310_construct_a2(a2):
 def test_y_sigma_a1(a1):
     mp = build_model(a1, 2)
     ident, s1 = weyl_enumerate(a1)
-    y = y_sigma(mp, ident, (0,), (0,))
+    y = R.y_sigma(mp, ident, (0,), (0,))
     assert (y.sigma.word, y.beta) == ((1,), (0,))
-    y = y_sigma(mp, s1, (0,), (0,))
+    y = R.y_sigma(mp, s1, (0,), (0,))
     assert (y.sigma.word, y.beta) == ((), (-1,))
 
 
 def test_mu_lambda_values(a1, a2):
     mp = build_model(a1, 2)
-    mu = mu_lambda(mp, LambdaParam((0,), (0,), 2))
+    mu = R.mu_lambda(mp, LambdaParam((0,), (0,), 2))
     assert (mu.classical, mu.level, mu.delta_coeff) == ((0,), 0, 0)
     mp = build_model(a2, 3)
-    mu = mu_lambda(mp, LambdaParam((0, 0), (0, 0), 3))
+    mu = R.mu_lambda(mp, LambdaParam((0, 0), (0, 0), 3))
     assert (mu.classical, mu.level, mu.delta_coeff) == ((0, 0), 0, 0)
 
 
@@ -221,7 +211,8 @@ def test_lemma39_examples(a1, a2):
                                  ("A3", 4), ("D4", 6), ("A4", 5), ("D5", 8)])
 def test_affine_exponent_matches_the_full_affine_action(t, p):
     # affine_exponent computes only the classical part of y circ mu; the
-    # reference goes through aff_circ, with its level and delta bookkeeping.
+    # reference goes through aff_circ, with its level and delta bookkeeping,
+    # and shares no key lookup or chamber record with the route.
     # alpha changes on every call, so the route slot is rebuilt each time,
     # and every narrow lambda, so every lambda0 label table, is checked
     rs = build_root_system(t)
@@ -231,11 +222,11 @@ def test_affine_exponent_matches_the_full_affine_action(t, p):
     lams = [lam for lam in lambda_params(mp) if narrow(mp, lam.sp)]
     assert {lam.lambda0 for lam in lams} == set(lambda0_set(rs))
     for lam in lams:
-        mu = mu_lambda(mp, lam)
+        mu = R.mu_lambda(mp, lam)
         for sigma in weyl_enumerate(rs):
-            tau = weyl_inverse(rs, sigma)
+            tau = R.inverse(rs, sigma)
             for alpha in alphas:
-                out = aff_circ(mp, y_sigma(mp, tau, alpha, lam.lambda0), mu)
+                out = R.aff_circ(mp, R.y_sigma(mp, tau, alpha, lam.lambda0), mu)
                 shifted = tuple(c + r for c, r in zip(out.classical, rho))
                 want = norm_sq(rs, shifted) / (2 * p)
                 assert affine_exponent(mp, sigma, alpha, lam) == want
@@ -324,15 +315,12 @@ def test_cached_chamber_data_obeys_a_lower_weyl_cap(a2):
     ident = weyl_enumerate(a2)[0]
     for lam0 in lambda0_set(a2):
         lemma310_construct(mp, (0, 0), lam0)
-    mu_lambda(mp, lam)
     affine_exponent(mp, ident, (0, 0), lam)
     grid = GridSpec(types=("A2",), p_values=(3,), order=6, cross_order=6)
     assert run_check("remark311_iff", grid).status == "pass"
     token = WEYL_CAP.set(5)
     try:
         for call in (lambda: lemma310_construct(mp, (0, 0), (0, 0)),
-                     lambda: y_sigma(mp, ident, (0, 0), (0, 0)),
-                     lambda: mu_lambda(mp, lam),
                      lambda: affine_exponent(mp, ident, (0, 0), lam)):
             with pytest.raises(CapExceeded) as ei:
                 call()
@@ -344,27 +332,37 @@ def test_cached_chamber_data_obeys_a_lower_weyl_cap(a2):
     assert run_check("remark311_iff", grid).status == "pass"
 
 
-def _chamber_by_search(rs, omega):
-    """The unique Weyl element sending exactly the positive roots orthogonal
-    to omega to positive roots, found by sweeping W."""
-    matches = []
-    for w in weyl_enumerate(rs):
-        rw = root_action(rs, w)
-        if all(all(c >= 0 for c in mat_vec(rw, g)) == (dot(g, omega) == 0)
-               for g in rs.positive_roots):
-            matches.append(w)
-    assert len(matches) == 1
-    return matches[0]
-
-
 @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6"])
 def test_constructed_chamber_element_matches_a_search_of_w(t):
     rs = build_root_system(t)
+    # the reference finds sigma_c by sweeping W for its sign pattern
     for lam0 in lambda0_set(rs):
-        omega = lambda0_rep(rs, tuple(c + 1 for c in lam0))
+        omega, want = R.chamber(rs, lam0)
+        assert omega == lambda0_rep(rs, tuple(c + 1 for c in lam0))
         assert all(dot(g, omega) in (0, 1) for g in rs.positive_roots)
-        want = _chamber_by_search(rs, omega)
-        assert _chamber(rs, lam0) == (omega, want, weyl_inverse(rs, want))
+        assert _chamber(rs, lam0) == (omega, want, R.inverse(rs, want))
+
+
+def test_affine_reference_is_independent():
+    # the reference may read the listing and the Cartan data, but nothing of
+    # the route it checks: no affine module, Weyl context or chamber record
+    path = Path(__file__).with_name("affine_reference.py")
+    tree = ast.parse(path.read_text())
+    banned = {"_context", "WeylContext", "_chamber", "_chamber_of", "_label_table"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            assert not banned & {a.name for a in node.names}, ast.dump(node)
+        else:
+            continue
+        assert not any(m == "tripletw.affine" or m.startswith("tripletw.affine.")
+                       for m in modules), ast.dump(node)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not banned & names
+    assert "affine" not in names
 
 
 def test_chamber_construction_fills_no_root_action_cache():

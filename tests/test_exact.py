@@ -24,10 +24,10 @@ from tripletw import (
     weyl_dim,
     weyl_enumerate,
 )
-from tripletw._exact import dot, int_vec, lattice_points, mat_mul, mat_vec
+from tripletw._exact import dot, int_vec, lattice_points, mat_vec
 from tripletw.params import lemma216_cond1, minus_w0, pq_class
 from tripletw.qseries import qseries
-from tripletw.rootsys import in_root_lattice, pair_with_rho
+from tripletw.rootsys import in_root_lattice
 
 # (name, integer Gram matrix, its inverse): the Cartan matrix and the
 # adjugate det C^-1, whose inverse is C / det
@@ -155,9 +155,6 @@ def test_kernels_match_index_sums(data):
     assert dot(u, v) == sum(u[i] * v[i] for i in range(len(u)))
     assert mat_vec(m, v) == naive_mat_vec(m, v)
     assert type(mat_vec(m, v)) is tuple
-    # m (r x n) times a matrix whose columns are u and v (n x 2)
-    b = tuple(zip(u, v))
-    assert mat_mul(m, b) == tuple(zip(naive_mat_vec(m, u), naive_mat_vec(m, v)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,8 +184,6 @@ def test_kernels_reject_mismatched_lengths():
         mat_vec(((1,),), (1, 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
         dot((1, 2), (1, 2, 3))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_mul(((1, 2, 3),), ((1,), (2,)))
     a2 = build_root_system("A2")
     with pytest.raises(ValueError, match="dimension mismatch"):
         pairing(a2, (1, 2), (1, 2, 3))
@@ -235,7 +230,6 @@ GATED = {
     "qseries base": (lambda b: qseries(b[0], (1, 2)), (1,)),
     "norm_sq": (lambda x: norm_sq(_A2, x), (1, 0)),
     "pairing": (lambda x: pairing(_A2, x, (1, 1)), (1, 0)),
-    "pair_with_rho": (lambda x: pair_with_rho(_A2, x), (1, 0)),
 }
 
 

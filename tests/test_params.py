@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affine_reference as R
 from tripletw import (
     LambdaParam,
     ScaledWeight,
@@ -39,7 +40,7 @@ from tripletw.params import (
 from tripletw.rootsys import (
     WeylElement,
     norm_sq,
-    pair_with_rho,
+    pairing,
     reflect,
     root_to_fund,
     weyl_matrix,
@@ -295,7 +296,7 @@ def test_conformal_weight_is_the_two_term_form(t, p):
     mp = build_model(rs, p)
     for x in product((-p - 1, 0, 2, p), repeat=min(rs.rank, 3)):
         x = x + (1,) * (rs.rank - len(x))
-        want = Fraction(norm_sq(rs, x), 2 * p) - Fraction(p - 1, p) * pair_with_rho(rs, x)
+        want = Fraction(norm_sq(rs, x), 2 * p) - Fraction(p - 1, p) * pairing(rs, x, rs.rho)
         assert conformal_weight(mp, ScaledWeight(x, p)) == want
 
 
@@ -330,7 +331,7 @@ def test_delta_dual_invariant(t, p):
 
 
 def test_star_act_identity_and_composition(a2):
-    from tripletw.rootsys import in_root_lattice, weyl_compose
+    from tripletw.rootsys import in_root_lattice
 
     mp = build_model(a2, 3)
     elems = weyl_enumerate(a2)
@@ -340,7 +341,7 @@ def test_star_act_identity_and_composition(a2):
     for u in elems:
         for v in elems:
             a = star_act(mp, u, star_act(mp, v, mu))
-            b = star_act(mp, weyl_compose(a2, u, v), mu)
+            b = star_act(mp, R.compose(a2, u, v), mu)
             m0a, spa = decompose(mp, a)
             m0b, spb = decompose(mp, b)
             assert spa == spb

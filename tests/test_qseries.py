@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import types
 from collections import Counter
 from fractions import Fraction
@@ -478,7 +479,7 @@ def _sweep_terms(mp, alpha, lam):
     rs, p = mp.rs, mp.p
     v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
     u = tuple(s + 1 for s in lam.sp)
-    return [(_scaled(rs, tuple(p * c - b for c, b in zip(act(w, v), u))), w.sign)
+    return [(_scaled(rs, tuple(p * c - b for c, b in zip(act(w, v), u))), (-1) ** len(w.word))
             for w in weyl_enumerate(rs)]
 
 
@@ -540,13 +541,41 @@ def _check_weyl_denominator(t):
         for alpha in (zero, rs.theta):
             v = tuple(a + 1 for a in alpha)
             ch = w_char(mp, alpha, LambdaParam(zero, zero, p), 14)
-            want = closed_forms.weyl_denominator_char(rs.positive_roots, rs.inv_cartan, p, v, 14)
+            want = closed_forms.weyl_denominator_char(rs.positive_roots, rs.inv_cartan,
+                                                      p, v, rs.rho, 14)
             assert (ch.base, list(ch.coeffs)) == want, (t, p, alpha)
 
 
 @pytest.mark.parametrize("t", ("A1", "A2", "A3", "A4", "D4", "D5", "E6"))
 def test_w_char_vs_weyl_denominator(t):
     _check_weyl_denominator(t)
+
+
+@pytest.mark.parametrize("t", ("A2", "A3", "D4", "D5", "E6"))
+def test_w_char_vs_weyl_denominator_on_both_sides(t):
+    # u = rho (sp = 0) with every lambda0 class at alpha = 0, and v = rho
+    # (alpha = lambda0 = 0) with digit vectors: zero, all p - 1 and eight
+    # drawn with a fixed seed, at p = h + 1
+    rs = build_root_system(t)
+    p = rs.coxeter_h + 1
+    mp = build_model(rs, p)
+    zero = (0,) * rs.rank
+    rng = random.Random(0)
+    digits = [zero, (p - 1,) * rs.rank]
+    digits += [tuple(rng.randrange(p) for _ in zero) for _ in range(8)]
+    cases = [(lam0, zero) for lam0 in lambda0_set(rs)] + [(zero, sp) for sp in digits]
+    for lam0, sp in cases:
+        v = tuple(c + 1 for c in lam0)
+        u = tuple(s + 1 for s in sp)
+        ch = w_char(mp, zero, LambdaParam(lam0, sp, p), 10)
+        want = closed_forms.weyl_denominator_char(rs.positive_roots, rs.inv_cartan, p, v, u, 10)
+        assert (ch.base, list(ch.coeffs)) == want, (t, lam0, sp)
+
+
+def test_weyl_denominator_needs_rho_on_one_side(a2):
+    with pytest.raises(ValueError, match="one of v and u must be rho"):
+        closed_forms.weyl_denominator_char(a2.positive_roots, a2.inv_cartan, 3,
+                                           (2, 1), (1, 2), 4)
 
 
 @pytest.mark.parametrize("t", ("E7", "E8"))

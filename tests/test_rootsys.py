@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affine_reference as R
 from tripletw import (
     WEYL_CAP,
     CapExceeded,
     LambdaParam,
     act,
+    affine_exponent,
     build_model,
     build_root_system,
     cartan_type,
@@ -22,19 +24,14 @@ from tripletw import (
     weyl_dim,
     weyl_enumerate,
 )
-from tripletw._exact import mat_mul
 from tripletw.params import minus_w0
 from tripletw.rootsys import (
+    WeylElement,
+    _context,
     dominant_word,
-    inversion_count,
-    pair_with_rho,
     reflect,
-    root_action,
     root_coords_int,
     root_to_fund,
-    weyl_by_matrix,
-    weyl_compose,
-    weyl_inverse,
     weyl_matrix,
 )
 
@@ -105,7 +102,7 @@ def test_strange_formula_and_theta(t):
     rs = build_root_system(t)
     assert norm_sq(rs, rs.rho) == Fraction(rs.coxeter_h * rs.dim_g, 12)
     assert norm_sq(rs, rs.theta) == 2
-    assert pair_with_rho(rs, rs.theta) == rs.coxeter_h - 1
+    assert pairing(rs, rs.theta, rs.rho) == rs.coxeter_h - 1
     assert root_to_fund(rs, rs.theta_root) == rs.theta
     assert root_coords_int(rs, rs.theta) == rs.theta_root
 
@@ -122,7 +119,7 @@ def test_enumeration_count_and_canonical_words(t, n):
     assert len(elems) == n
     assert len({w.matrix for w in elems}) == n
     # sorted by length, lexicographic within a length class
-    keys = [(w.length, w.word) for w in elems]
+    keys = [(len(w.word), w.word) for w in elems]
     assert keys == sorted(keys)
 
 
@@ -135,7 +132,7 @@ def test_a2_words_and_longest(a2):
 
 
 def test_a3_longest_length(a3):
-    assert longest_element(a3).length == 6
+    assert len(longest_element(a3).word) == 6
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
@@ -163,7 +160,7 @@ def _diagram_involution(t):
 def test_minus_w0_is_the_diagram_involution(t):
     rs = build_root_system(t)
     w0 = longest_element(rs)
-    assert w0.length == len(rs.positive_roots)
+    assert len(w0.word) == len(rs.positive_roots)
     perm = _diagram_involution(t)
     l = rs.rank
     # column i of -w0 is the fundamental weight omega_perm(i)
@@ -203,19 +200,21 @@ def test_act_examples(a2):
 @pytest.mark.parametrize("t", ["A2", "A3", "D4"])
 def test_inversion_count_is_length(t):
     rs = build_root_system(t)
+    ctx = _context(rs)
     for w in weyl_enumerate(rs):
-        assert inversion_count(rs, w) == w.length
-        assert weyl_inverse(rs, w).length == w.length
+        assert R.inversion_count(rs, w) == len(w.word)
+        assert len(ctx.elems[ctx.inverse(w.index)].word) == len(w.word)
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "D4", "D5"])
 def test_inverse_matches_the_reversed_word(t):
     rs = build_root_system(t)
+    ctx = _context(rs)
     ident = weyl_enumerate(rs)[0]
     for w in weyl_enumerate(rs):
-        inv = weyl_inverse(rs, w)
-        assert inv == weyl_by_matrix(rs, weyl_matrix(rs.cartan, tuple(reversed(w.word))))
-        assert weyl_compose(rs, w, inv) == ident
+        inv = ctx.elems[ctx.inverse(w.index)]
+        assert inv is R.inverse(rs, w)  # the element of the reversed word's matrix
+        assert R.compose(rs, w, inv) is ident
 
 
 def test_enumeration_cap(d4):
@@ -248,21 +247,6 @@ def test_lower_cap_refuses_an_enumerated_type(a2):
     finally:
         WEYL_CAP.reset(token)
     assert len(weyl_enumerate(a2)) == 6
-
-
-def test_cached_compose_and_inverse_obey_a_lower_cap(a2):
-    s1, s2 = weyl_enumerate(a2)[1:3]
-    weyl_compose(a2, s1, s2)
-    weyl_inverse(a2, s1)
-    token = WEYL_CAP.set(5)
-    try:
-        for call in (lambda: weyl_compose(a2, s1, s2), lambda: weyl_inverse(a2, s1)):
-            with pytest.raises(CapExceeded) as ei:
-                call()
-            assert (ei.value.required, ei.value.cap) == (6, 5)
-    finally:
-        WEYL_CAP.reset(token)
-    assert weyl_inverse(a2, s1) == s1
 
 
 @pytest.mark.parametrize(
@@ -328,24 +312,17 @@ def test_circ_action_composes(i, j, x):
     rs = build_root_system("A2")
     elems = weyl_enumerate(rs)
     u, v = elems[i], elems[j]
-    uv = weyl_compose(rs, u, v)
+    uv = R.compose(rs, u, v)
     assert circ_act(u, circ_act(v, x)) == circ_act(uv, x)
 
 
 # --- the Weyl context, against plain matrix arithmetic -----------------------
 
-def _reflection(cartan, i):
-    """s_i on fundamental coordinates, x -> x - x_i C[i], as a matrix."""
-    n = len(cartan)
-    return tuple(tuple(int(j == k) - (cartan[i][j] if k == i else 0) for k in range(n))
-                 for j in range(n))
-
-
 def _matrix_bfs(cartan):
     """(word, matrix) of every element by a breadth-first search on matrices,
     appending generators on the right; the first word found is kept."""
     n = len(cartan)
-    gens = [_reflection(cartan, i) for i in range(n)]
+    gens = [R.reflection(cartan, i + 1) for i in range(n)]
     ident = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
     seen = {ident}
     level = [((), ident)]
@@ -354,7 +331,7 @@ def _matrix_bfs(cartan):
         nxt = []
         for word, m in level:
             for i in range(n):
-                child = mat_mul(m, gens[i])
+                child = R.mat_mul(m, gens[i])
                 if child not in seen:
                     seen.add(child)
                     nxt.append((word + (i + 1,), child))
@@ -377,11 +354,12 @@ def test_context_matches_a_plain_matrix_bfs(t):
 @pytest.mark.parametrize("t", CONTEXT_TYPES)
 def test_inverse_is_an_involution(t):
     rs = build_root_system(t)
+    ctx = _context(rs)
     ident = weyl_enumerate(rs)[0].matrix
     for w in weyl_enumerate(rs):
-        inv = weyl_inverse(rs, w)
-        assert mat_mul(w.matrix, inv.matrix) == ident
-        assert weyl_inverse(rs, inv) is w
+        inv = ctx.elems[ctx.inverse(w.index)]
+        assert R.mat_mul(w.matrix, inv.matrix) == ident
+        assert ctx.elems[ctx.inverse(inv.index)] is w
 
 
 @st.composite
@@ -395,18 +373,25 @@ def _element_triple(draw):
 @settings(max_examples=150, deadline=None)
 @given(_element_triple())
 def test_compose_is_the_matrix_product_and_associative(data):
+    # the listing holds every matrix product (a KeyError otherwise), and the
+    # key of (u v)^-1 is u(v rho), the product rule the affine route uses
     rs, u, v, x = data
-    uv = weyl_compose(rs, u, v)
-    assert uv.matrix == mat_mul(u.matrix, v.matrix)
-    assert weyl_compose(rs, uv, x) == weyl_compose(rs, u, weyl_compose(rs, v, x))
+    ctx = _context(rs)
+    uv = R.compose(rs, u, v)
+    assert R.compose(rs, uv, x) is R.compose(rs, u, R.compose(rs, v, x))
+    assert ctx.by_key[act(u, act(v, rs.rho))] == ctx.inverse(uv.index)
 
 
-def test_compose_and_inverse_accept_elements_built_elsewhere(a3):
-    u, v = weyl_enumerate(a3)[5], weyl_enumerate(a3)[17]
+def test_find_and_inverse_accept_elements_built_elsewhere(a3):
+    ctx = _context(a3)
+    u = weyl_enumerate(a3)[5]
     u2 = type(u)(u.word, u.matrix)  # equal, but not the context's own object
     assert u2 == u and u2.index == -1
-    assert weyl_compose(a3, u2, v) is weyl_compose(a3, u, v)
-    assert weyl_inverse(a3, u2) is weyl_inverse(a3, u)
+    assert ctx.find(u2) == ctx.find(u) == 5
+    assert ctx.elems[ctx.inverse(ctx.find(u2))] is R.inverse(a3, u)
+    mp = build_model(a3, 4)
+    lam = LambdaParam((0, 0, 0), (0, 0, 0), 4)
+    assert affine_exponent(mp, u2, (0, 0, 0), lam) == affine_exponent(mp, u, (0, 0, 0), lam)
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "D4"])
@@ -418,45 +403,46 @@ def test_by_matrix_rejects_matrices_outside_w(t):
     # two rows swapped: it fixes rho, the key of the identity, but is not in W
     swapped = (ident[1], ident[0]) + ident[2:]
     too_big = ((1,) * (n + 1),) * (n + 1)
+    ctx = _context(rs)
     for m in (twice, swapped, too_big):
         with pytest.raises(ValueError, match="not a Weyl group action"):
-            weyl_by_matrix(rs, m)
+            ctx.find(WeylElement((), m))
     for w in weyl_enumerate(rs):
-        assert weyl_by_matrix(rs, w.matrix) is w
+        assert ctx.find(WeylElement(w.word, w.matrix)) == w.index
 
 
 @pytest.mark.parametrize("t", CONTEXT_TYPES)
 def test_root_action_is_adj_m_c_over_det(t):
+    # w keeps the pairing of fundamental and root coordinates, so its action
+    # adj M C / det on root coordinates is the transpose of the matrix of w^-1
     rs = build_root_system(t)
+    ctx = _context(rs)
     for w in weyl_enumerate(rs):
-        raw = mat_mul(rs.adj, mat_mul(w.matrix, rs.cartan))
-        assert all(x % rs.det == 0 for row in raw for x in row)
-        assert root_action(rs, w) == tuple(tuple(x // rs.det for x in row) for row in raw)
+        inv = ctx.elems[ctx.inverse(w.index)]
+        assert R.root_action(rs, w) == tuple(zip(*inv.matrix))
 
 
 def test_sampled_e6_elements():
     # 51,840 elements: too many for the plain BFS, so sample them
     rs = build_root_system("E6")
+    ctx = _context(rs)
     elems = weyl_enumerate(rs)
     assert len(elems) == 51840
-    gens = [_reflection(rs.cartan, i) for i in range(rs.rank)]
     ident = elems[0].matrix
     rng = random.Random(6)
     for _ in range(40):
         u, v = rng.choice(elems), rng.choice(elems)
-        m = ident
-        for i in u.word:
-            m = mat_mul(m, gens[i - 1])
-        assert m == u.matrix
-        assert inversion_count(rs, u) == u.length
-        inv = weyl_inverse(rs, u)
-        assert mat_mul(u.matrix, inv.matrix) == ident
-        assert weyl_inverse(rs, inv) is u
-        assert weyl_compose(rs, u, v).matrix == mat_mul(u.matrix, v.matrix)
-        assert weyl_by_matrix(rs, u.matrix) is u
+        assert R.word_matrix(rs.cartan, u.word) == u.matrix
+        assert R.inversion_count(rs, u) == len(u.word)
+        inv = ctx.elems[ctx.inverse(u.index)]
+        assert R.mat_mul(u.matrix, inv.matrix) == ident
+        assert ctx.elems[ctx.inverse(inv.index)] is u
+        uv = R.compose(rs, u, v)
+        assert ctx.by_key[act(u, act(v, rs.rho))] == ctx.inverse(uv.index)
+        assert ctx.find(WeylElement(u.word, u.matrix)) == u.index
         # u.word is the least reduced word: each u s_i one shorter spells u
         # as its own word followed by i, which is no smaller
         for i in range(1, rs.rank + 1):
-            shorter = weyl_by_matrix(rs, mat_mul(u.matrix, gens[i - 1]))
-            if shorter.length == u.length - 1:
+            shorter = R.by_matrix(rs.type)[R.mat_mul(u.matrix, R.reflection(rs.cartan, i))]
+            if len(shorter.word) == len(u.word) - 1:
                 assert shorter.word + (i,) >= u.word

@@ -1,4 +1,5 @@
 from itertools import product
+from math import floor, isqrt
 
 import pytest
 
@@ -13,7 +14,7 @@ from tripletw import (
     run_check,
     weyl_enumerate,
 )
-from tripletw._exact import mat_vec, sqrt_floor, sqrt_upper
+from tripletw._exact import mat_vec, sqrt_upper
 from tripletw.affine import lemma39_test
 from tripletw.rootsys import WEYL_CAP, CapExceeded, norm_sq
 from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, _brute_pairs, _cases, all_passed
@@ -120,7 +121,8 @@ def _lemma39_pairs(mp, alpha, lam, elems):
     v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
     v_sq = norm_sq(rs, v)
     bound = sqrt_upper(v_sq) + 2
-    maxima = [sqrt_floor(bound * bound * rs.inv_cartan[i][i]) for i in range(rs.rank)]
+    # floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
+    maxima = [isqrt(floor(bound * bound * rs.inv_cartan[i][i])) for i in range(rs.rank)]
     hits = set()
     for r in product(*(range(-m, m + 1) for m in maxima)):
         r_f = tuple(sum(c * x for c, x in zip(row, r)) for row in rs.cartan)
