@@ -34,6 +34,7 @@ from .rootsys import (
     reflect,
     root_coords_int,
     root_to_fund,
+    weyl_matrix,
 )
 
 
@@ -62,51 +63,47 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
     return True
 
 
-# Read by bench/tracing.py by name and never by the package: _CHAMBER_CACHE
-# maps a type to the chamber table of its WeylContext from the table's first
-# entry on.  _MU_CACHE stays empty: the chamber weight mu_lambda is kept only
-# inside the route that uses it.
+# Read by bench/tracing.py by name.  _CHAMBER_CACHE is the chamber cache of
+# `_chamber`: a type maps to {lambda0: (omega, sigma_c, sigma_c^-1, labels)},
+# so its length counts types.  _MU_CACHE stays empty: the chamber weight
+# mu_lambda is kept only inside the route that uses it.
 _CHAMBER_CACHE: dict = {}
 _MU_CACHE: dict = {}
 
 
-def _chamber(rs: RootSystem, lambda0: IntVec) -> tuple[IntVec, WeylElement, WeylElement]:
-    """(omega, sigma_c, sigma_c^{-1}) for the integral weight lambda0.
+def _chamber(rs: RootSystem, lambda0: IntVec, ctx: WeylContext | None = None):
+    """The chamber record (omega, sigma_c, sigma_c^{-1}, labels) of the
+    integral weight lambda0, built on first use without listing W.
 
     omega is the minuscule-or-zero representative of the class of
     lambda0 + rho; sigma_c is the unique Weyl element sending exactly the
     positive roots pairing to 0 with omega to positive roots, so sigma_c^{-1}
     rho has that sign pattern.  Every positive root g has (g, omega) in
     {0, 1} and height <= h - 1, so rho - h omega has it too; its
-    `dominant_word` spells sigma_c^{-1}, and the same reflections applied to
-    rho give its key sigma_c rho.  Checks the Weyl cap on every call, cached
-    or not.
+    `dominant_word` is the lex-least word of sigma_c^{-1}, and the same
+    letters applied to rho give sigma_c rho, whose `dominant_word` is that of
+    sigma_c.  Both matrices come from `weyl_matrix`, as w0's do, so W is not
+    listed and no cap is checked.  labels is None until a caller passes the
+    Weyl context ctx, read through the cap, and `_label_table` fills it.
     """
-    return _chamber_of(_context(rs), rs, lambda0)[:3]
-
-
-def _chamber_of(ctx: WeylContext, rs: RootSystem, lambda0: IntVec):
-    """The chamber record of lambda0 in ctx.chambers, built on first use:
-    (omega, sigma_c, sigma_c^{-1}) of `_chamber`, then the label table of
-    the chamber and its fill, as `_label_table` gives them."""
-    got = ctx.chambers.get(lambda0)
+    records = _CHAMBER_CACHE.setdefault(rs.type, {})
+    got = records.get(lambda0)
     if got is None:
+        cartan, rho = rs.cartan, rs.rho
         omega = lambda0_rep(rs, tuple(c + 1 for c in lambda0))
-        x = [r - rs.coxeter_h * o for r, o in zip(rs.rho, omega)]
-        key = rs.rho
-        for i in dominant_word(rs.cartan, x):
-            key = reflect(rs.cartan, key, i)
-        sigma_c_inv = ctx.elems[ctx.by_key[key]]
-        moved_rho = act(sigma_c_inv, rs.rho)
-        if any((dot(g, moved_rho) > 0) != (dot(g, omega) == 0)
-               for g in rs.positive_roots):
-            raise RuntimeError(
-                f"chamber element for lambda0={lambda0} has the wrong sign pattern")
-        if not ctx.chambers:
-            _CHAMBER_CACHE[rs.type] = ctx.chambers
-        sigma_c = ctx.elems[ctx.inverse(sigma_c_inv.index)]
-        got = ctx.chambers[lambda0] = (
-            omega, sigma_c, sigma_c_inv, *_label_table(ctx, omega, sigma_c))
+        inv_word = dominant_word(cartan, [r - rs.coxeter_h * o for r, o in zip(rho, omega)])
+        key = rho
+        for i in inv_word:
+            key = reflect(cartan, key, i)
+        word = dominant_word(cartan, key)
+        sigma_c = WeylElement(word, weyl_matrix(cartan, word))
+        sigma_c_inv = WeylElement(inv_word, weyl_matrix(cartan, inv_word))
+        moved_rho = act(sigma_c_inv, rho)
+        if any((dot(g, moved_rho) > 0) != (dot(g, omega) == 0) for g in rs.positive_roots):
+            raise RuntimeError(f"chamber element of {lambda0} has the wrong sign pattern")
+        got = records[lambda0] = (omega, sigma_c, sigma_c_inv, None)
+    if ctx is not None and got[3] is None:
+        got = records[lambda0] = (*got[:3], _label_table(ctx, got[0], got[1]))
     return got
 
 
@@ -115,50 +112,44 @@ def lemma310_construct(mp: ModelParams, alpha, lambda0) -> tuple[IntVec, WeylEle
 
     omega and sigma are those of `_chamber` and do not depend on alpha;
     beta = alpha + lambda0 + rho - omega lies in Q and is returned in
-    simple-root coordinates.
+    simple-root coordinates.  Nothing here lists W or checks its cap.
     """
     rs = mp.rs
     alpha = int_vec(alpha, rs.rank)
     lambda0 = int_vec(lambda0, rs.rank)
-    omega, sigma, _ = _chamber(rs, lambda0)
+    omega, sigma, *_ = _chamber(rs, lambda0)
     beta_f = tuple(a + l0 + 1 - o for a, l0, o in zip(alpha, lambda0, omega))
     beta = root_coords_int(rs, beta_f)
     return omega, sigma, beta
 
 
-def _label_table(ctx: WeylContext, omega: IntVec, sigma_c: WeylElement):
-    """(table, fill), the label table of the chamber (omega, sigma_c).
+def _label_table(ctx: WeylContext, omega: IntVec, sigma_c: WeylElement) -> list:
+    """The label table of the chamber (omega, sigma_c), in listing order.
 
-    For the label sigma = elems[i], table[i] is None until fill(i) stores
-    (tau(omega), rows of w^-1, rows of w) with tau = sigma^-1 and
-    w = tau sigma_c^-1.  Keys give all three elements: sigma rho is the key
-    of tau, sigma_c sigma rho the key of w, and w rho the key of w^-1, so no
-    product or inverse is looked up or stored.  tau(omega) runs over the
-    orbit W omega, small for a minuscule omega, and each vector of it is
-    stored once.
+    For the label sigma = elems[i], table[i] is (tau(omega), rows of w^-1,
+    rows of w) with tau = sigma^-1 and w = tau sigma_c^-1.  Keys give all
+    three elements: sigma rho is the key of tau, sigma_c sigma rho the key of
+    w, and w rho the key of w^-1, so no product or inverse is looked up or
+    stored.  tau(omega) runs over the orbit W omega, small for a minuscule
+    omega, and each vector of it is stored once.  Every caller of a route
+    reads every label, so the table is built whole.
     """
     elems, by_key = ctx.elems, ctx.by_key
     c_rows = sigma_c.matrix
-    table = [None] * len(elems)
-    orbit = {}
-
-    def fill(i: int):
-        sigma_rho = tuple(map(sum, elems[i].matrix))
+    table, orbit = [], {}
+    for sigma in elems:
+        sigma_rho = tuple(map(sum, sigma.matrix))
         w = elems[by_key[tuple([sum(map(mul, row, sigma_rho)) for row in c_rows])]]
         t = act(elems[by_key[sigma_rho]], omega)
-        got = table[i] = (orbit.setdefault(t, t), elems[ctx.inverse(w.index)].matrix,
-                          w.matrix)
-        return got
-
-    return table, fill
+        table.append((orbit.setdefault(t, t), elems[ctx.inverse(w.index)].matrix, w.matrix))
+    return table
 
 
 class _Route(NamedTuple):
     """One (alpha, lambda) of the affine route; see `_affine_route`.
     kernel(route, labels) gives 2 p det times the exponent of each label."""
     kernel: Callable
-    table: list      # the label table of lambda0's chamber, filled by fill(i)
-    fill: Callable
+    table: list      # the label table of lambda0's chamber
     v: IntVec        # alpha + lambda0 + rho
     m: IntVec        # mu_bar + rho = sigma_c(-p omega + s + rho)
     p: int
@@ -184,7 +175,7 @@ def _affine_route(mp: ModelParams, alpha, lam: LambdaParam) -> tuple[WeylContext
 
     Every call checks the Weyl cap, gates alpha, lambda0 and the digits to
     int tuples, and checks p.  The route is then kept in ctx.route under
-    (mp, alpha, lambda0, sp, p), compared by value, so a repeated
+    (mp, alpha, lambda0, sp), compared by value (mp fixes p), so a repeated
     (alpha, lambda) reuses it; a new one is checked for narrowness first.
     """
     rs = mp.rs
@@ -198,7 +189,7 @@ def _affine_route(mp: ModelParams, alpha, lam: LambdaParam) -> tuple[WeylContext
     alpha = int_vec(alpha, l)
     lambda0 = int_vec(lam.lambda0, l)
     _check_p(mp, lam.p)
-    key = (mp, alpha, lambda0, sp, lam.p)
+    key = (mp, alpha, lambda0, sp)
     got = ctx.route[0]
     if got[0] != key:
         got = ctx.route[0] = (key, _build_route(mp, ctx, alpha, lambda0, sp))
@@ -209,11 +200,20 @@ def _build_route(mp: ModelParams, ctx: WeylContext, alpha: IntVec,
                  lambda0: IntVec, sp: IntVec) -> _Route:
     require_narrow(mp, sp)
     rs = mp.rs
-    omega, sigma_c, _, table, fill = _chamber_of(ctx, rs, lambda0)
+    omega, sigma_c, _, table = _chamber(rs, lambda0, ctx)
     m = act(sigma_c, tuple([-mp.p * o + s + 1 for o, s in zip(omega, sp)]))
     v = tuple([a + l0 + 1 for a, l0 in zip(alpha, lambda0)])
-    return _Route(ctx.kernel[0] or _route_kernel(ctx, rs), table, fill, v, m,
+    return _Route(ctx.kernel[0] or _route_kernel(ctx, rs), table, v, m,
                   mp.p, 2 * mp.p * rs.det)
+
+
+def _affine_terms(mp: ModelParams, alpha, lam: LambdaParam) -> list[tuple[int, int]]:
+    """Signed affine-orbit exponents of one (alpha, lambda), scaled by 2 p det
+    as `qseries._w_terms` scales the direct ones: one per label, in listing
+    order, with the sign (-1)^l(sigma)."""
+    ctx, route = _affine_route(mp, alpha, lam)
+    scaled = route.kernel(route, range(len(ctx.elems)))
+    return [(e, -1 if len(w.word) & 1 else 1) for e, w in zip(scaled, ctx.elems)]
 
 
 def _q_rows(rs: RootSystem) -> IntMat:
@@ -268,10 +268,10 @@ def _route_kernel(ctx: WeylContext, rs: RootSystem) -> Callable:
     adj = rs.adj
     lines = [
         "def kernel(route, labels):",
-        f"    _, table, fill, {tup(names('v'))}, {tup(names('m'))}, p, _ = route",
+        f"    _, table, {tup(names('v'))}, {tup(names('m'))}, p, _ = route",
         "    out = []",
         "    for i in labels:",
-        f"        {tup(names('t'))}, w_inv, w = table[i] or fill(i)",
+        f"        {tup(names('t'))}, w_inv, w = table[i]",
     ]
     lines += [f"        g{i} = t{i} - v{i}" for i in r]
     lines.append(f"        {matrix} = w_inv")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import ceil, floor
 
 from ._exact import IntVec, dot, int_vec, lattice_points, mat_vec, sqrt_upper
-from .affine import _affine_route
+from .affine import _affine_terms
 from .params import (
     LambdaParam,
     ModelParams,
@@ -36,7 +36,6 @@ from .rootsys import (
     check_weyl_cap,
     in_root_lattice,
     weyl_dim,
-    weyl_enumerate,
 )
 
 
@@ -354,12 +353,7 @@ def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     narrow lambda and equal to w_char term by term."""
     _check_n(n)
     _check_p(mp, lam.p)
-    alpha = _require_alpha(mp.rs, alpha)
-    _, route = _affine_route(mp, alpha, lam)
-    elems = weyl_enumerate(mp.rs)
-    scaled = route.kernel(route, range(len(elems)))
-    terms = [(e, -1 if len(w.word) & 1 else 1) for e, w in zip(scaled, elems)]
-    return _assemble(mp, terms, n)
+    return _assemble(mp, _affine_terms(mp, _require_alpha(mp.rs, alpha), lam), n)
 
 
 def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):

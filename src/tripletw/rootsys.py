@@ -311,17 +311,15 @@ class WeylContext(NamedTuple):
     rho is regular, so the key determines the element, and by_key maps it
     to i.  The key of w^-1 is w rho, the row sums of w's matrix, and the
     key of (u v)^-1 is u(v rho), so inverses, products and matrix lookups
-    are key lookups and no table of them is kept.  `chambers` (which
-    `affine` owns) fills on first use.  `route`, `kernel` and `pulled` are
-    one-item lists, each a slot replaced or filled by one assignment:
-    `affine` keeps its last route in `route` and the type's compiled route
-    kernel in `kernel`, and `verify._pulled_roots` the positive roots
-    pulled back through every element in `pulled`.  Nothing here checks
-    the Weyl cap: `_context`, the one door to a context, does.
+    are key lookups and no table of them is kept.  `route`, `kernel` and
+    `pulled` are one-item lists, each a slot replaced or filled by one
+    assignment: `affine` keeps its last route in `route` and the type's
+    compiled route kernel in `kernel`, and `verify._pulled_roots` the
+    positive roots pulled back through every element in `pulled`.  Nothing
+    here checks the Weyl cap: `_context`, the one door to a context, does.
     """
     elems: tuple[WeylElement, ...]
     by_key: dict[IntVec, int]           # key w^-1 rho -> element index
-    chambers: dict                      # lambda0 -> affine._chamber_of record
     route: list                         # [(key, route)], the last affine route
     kernel: list                        # [affine route kernel], or [None]
     pulled: list                        # [pulled-back roots], or [None]
@@ -399,7 +397,7 @@ def _enumerate(rs: RootSystem) -> WeylContext:
     if len(elems) != rs.weyl_order:
         raise RuntimeError(f"enumerated {len(elems)} Weyl elements of {rs.type}, "
                            f"expected {rs.weyl_order}")
-    got = WeylContext(tuple(elems), by_key, {}, [(None, None)], [None], [None])
+    got = WeylContext(tuple(elems), by_key, [(None, None)], [None], [None])
     _WEYL_CACHE[rs.type] = got
     return got
 

@@ -5,12 +5,15 @@ partition counter uses Euler's pentagonal recurrence instead of the
 product-expansion loop, the multi-colour counts come from repeated
 convolution of that table, the Weyl denominator product is built from
 the positive roots alone, with no Weyl group, on whichever side of the
-exponent is not rho, and the A1 module character
-is a published bilateral theta series, with no lattice or orbit walk.
+exponent is not rho, the A1 module character
+is a published bilateral theta series, with no lattice or orbit walk, and
+the lattice character is summed by a plain box scan in the orthonormal
+model of the root lattice, not in Cartan coordinates.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 
@@ -124,3 +127,59 @@ def a1_module_char(p, lam0, sp, n):
     lead = next(k for k, c in enumerate(coeffs) if c)
     top = Fraction(big, 4 * p) - Fraction(1, 24)
     return top - depth + lead, tuple(coeffs[lead:])
+
+
+def _scaled_fundamental_weights(family: str, l: int):
+    """(k, rows): row i is k omega_(i+1) in orthonormal coordinates, Bourbaki
+    numbering, with k clearing the denominators.  A_l lives in Z^(l+1), with
+    omega_i = e_1 + ... + e_i - i/(l+1) (e_1 + ... + e_(l+1)) and k = l + 1;
+    D_l in Z^l, with omega_i = e_1 + ... + e_i for i <= l - 2,
+    omega_(l-1) = (e_1 + ... + e_(l-1) - e_l)/2, omega_l = (e_1 + ... + e_l)/2
+    and k = 2."""
+    if family == "A":
+        return l + 1, [[(l + 1) * (j < i) - i for j in range(l + 1)] for i in range(1, l + 1)]
+    if family == "D":
+        rows = [[2 * (j < i) for j in range(l)] for i in range(1, l - 1)]
+        rows.append([1] * (l - 1) + [-1])
+        rows.append([1] * l)
+        return 2, rows
+    raise ValueError(f"no orthonormal model for family {family!r}")
+
+
+def lattice_char_orthonormal(family: str, p: int, lam0, sp, n: int):
+    """The lattice-module character of (lambda0, sp) on the window that
+    lattice_char returns at order n, summed in the orthonormal model:
+
+        eta^-l sum_{beta in Q} q^(|c - p beta|^2 / 2p),
+
+    with c = x_lambda - (p-1) rho = -p lambda0 + sp - (p-1) rho, put into
+    orthonormal coordinates through the fundamental weights.  Q is the set
+    of vectors of Z^(l+1) with coordinate sum 0 for A_l, and of Z^l with an
+    even coordinate sum for D_l.  For A1 the sum is
+    eta^-1 sum_r q^((c - 2pr)^2 / 4p).  The window ends n above the beta = 0
+    exponent |c|^2 / 2p - l/24, and beta runs over the box that holds the
+    ball |c - p beta|^2 <= 2p (|c|^2 / 2p + n).  Returns (base, coeffs),
+    coeffs[k] being the coefficient of q^(base + k).
+    """
+    l = len(sp)
+    k, omegas = _scaled_fundamental_weights(family, l)
+    centre = [-p * a + s - (p - 1) for a, s in zip(lam0, sp)]
+    kc = [sum(x * w[j] for x, w in zip(centre, omegas)) for j in range(len(omegas[0]))]
+    den = 2 * p * k * k  # an exponent is |kc - p k beta|^2 / den
+    top = sum(x * x for x in kc) + den * n  # den times the window top
+    r = isqrt(top)
+    box = [range(-((r - x) // (p * k)), (x + r) // (p * k) + 1) for x in kc]
+    in_q = (lambda b: sum(b) == 0) if family == "A" else (lambda b: sum(b) % 2 == 0)
+    exps = [sum((x - p * k * b) ** 2 for x, b in zip(kc, beta))
+            for beta in product(*box) if in_q(beta)]
+    exps = [e for e in exps if e <= top]
+    low = min(exps)
+    eta = colored_partitions(l, (top - low) // den)
+    coeffs = [0] * len(eta)
+    for e in exps:
+        shift, rem = divmod(e - low, den)
+        if rem:
+            raise ValueError(f"lattice term {e}/{den} is off the window's coset")
+        for j in range(shift, len(eta)):
+            coeffs[j] += eta[j - shift]
+    return Fraction(low, den) - Fraction(l, 24), tuple(coeffs)

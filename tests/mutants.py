@@ -3,13 +3,17 @@ the package that the tests must catch.
 
     python tests/mutants.py [PYTEST_ARGS ...]
 
-For each mutant the tree (src/, tests/ and pyproject.toml) is copied to a
-temporary directory, the edit is made in the copy (the old text must occur
+For each mutant the tree (src/, tests/, bench/ without its results,
+pyproject.toml and BENCHMARK.json, which tests/test_bench_contract.py
+reads) is copied to a temporary directory, the edit is made in the copy (the old text must occur
 exactly once), and pytest runs there with PYTEST_ARGS, by default the fast
 subset below.  A mutant is killed when pytest fails and survived when it
-passes; the last line of pytest's report is printed with it.  The working
-tree is never edited.  Stdlib only; the exit status is 1 if a mutant
-survived and 2 if a mutant's old text is not found exactly once.
+passes, or equivalent when it passes and is marked so, with the reason in
+its note; the last line of pytest's report is printed with it.  The working
+tree is never edited, and `tests/test_mutants.py` (left out of the copy)
+checks that every old text is found exactly once.  Stdlib only; the exit
+status is 1 if a mutant survived and 2 if a mutant's old text is not found
+exactly once.
 """
 
 import os
@@ -31,6 +35,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     note: str
+    equivalent: bool = False  # no input can tell it apart; the note says why
 
 
 MUTANTS = [
@@ -62,13 +67,58 @@ MUTANTS = [
     ),
     Mutant(
         "M3", "src/tripletw/affine.py",
-        "omega, sigma_c, sigma_c_inv, *_label_table(ctx, omega, sigma_c))",
-        "omega, sigma_c_inv, sigma_c, *_label_table(ctx, omega, sigma_c_inv))",
+        "got = records[lambda0] = (omega, sigma_c, sigma_c_inv, None)",
+        "got = records[lambda0] = (omega, sigma_c_inv, sigma_c, None)",
         "chamber record: sigma_c and sigma_c^-1 swapped.  No exponent sees it: "
         "x = w(m + p beta) = tau u - p v, so omega and sigma_c cancel and enter "
         "only through the check that beta lies in Q, which W keeps.  The "
         "search of W in test_constructed_chamber_element_matches_a_search_of_w "
         "kills it",
+    ),
+    Mutant(
+        "M4", "src/tripletw/affine.py",
+        "word = dominant_word(cartan, key)",
+        "word = inv_word[::-1]",
+        "chamber record: sigma_c spelled by its inverse's word reversed, a "
+        "reduced word of the same matrix but not the lex-least one; only the "
+        "word comparison with the search of W can see it",
+    ),
+    Mutant(
+        "M5", "src/tripletw/params.py",
+        "return narrow_margin(mp, sp) <= 0",
+        "return narrow_margin(mp, sp) < 0",
+        "narrow: the equality stratum counted as wide",
+    ),
+    Mutant(
+        "M6", "src/tripletw/rootsys.py",
+        "i = next(j for j, c in enumerate(x) if c < 0) + 1",
+        "i = [j for j, c in enumerate(x) if c < 0][-1] + 1",
+        "dominant_word: reflects at the last negative coordinate, so the word "
+        "is reduced but not lex-least",
+    ),
+    Mutant(
+        "M7", "src/tripletw/params.py",
+        "if not 1 <= u[j - 1] <= p:",
+        "if not 0 <= u[j - 1] <= p:",
+        "lemma216_cond1: the digit window opened to 0 <= u_j.  u = w(s + rho) "
+        "with s + rho regular dominant, so u_j = (s + rho, w^-1 alpha_j) is "
+        "never 0 and the mutant is equivalent",
+        equivalent=True,
+    ),
+    Mutant(
+        "M8", "src/tripletw/params.py",
+        "return tuple([c // p for c in circ_act(w, _digits(mp, sp))])",
+        "return tuple([-(-c // p) for c in circ_act(w, _digits(mp, sp))])",
+        "epsilon: ceiling instead of floor",
+    ),
+    Mutant(
+        "M9", "src/tripletw/qseries.py",
+        """            if any(c < 0 for c in y[:i]):
+                continue
+            out.append((f, -sign))""",
+        """            out.append((f, -sign))""",
+        "_w_terms: the canonical-parent test dropped, so an orbit point is "
+        "reached once per parent",
     ),
 ]
 
@@ -77,10 +127,14 @@ def run(mutant: Mutant, pytest_args: list[str]) -> tuple[str, str]:
     """(status, last line of pytest's report) for one mutant."""
     with tempfile.TemporaryDirectory(prefix="tripletw-mutant-") as tmp:
         tree = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        # test_mutants.py checks that each old text is present, so a copy
+        # that kept it would kill every mutant
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache",
+                                        "test_mutants.py", "results")
+        for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "BENCHMARK.json"):
+            shutil.copy(ROOT / name, tree)
         path = tree / mutant.file
         text = path.read_text()
         if text.count(mutant.old) != 1:
@@ -91,7 +145,11 @@ def run(mutant: Mutant, pytest_args: list[str]) -> tuple[str, str]:
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pytest_args],
             cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    return ("survived" if proc.returncode == 0 else "killed"), (lines[-1] if lines else "")
+    if proc.returncode:
+        status = "killed"
+    else:
+        status = "equivalent" if mutant.equivalent else "survived"
+    return status, (lines[-1] if lines else "")
 
 
 def main(argv: list[str]) -> int:
@@ -100,7 +158,7 @@ def main(argv: list[str]) -> int:
     for mutant in MUTANTS:
         status, summary = run(mutant, pytest_args)
         print(f"{mutant.name} {status:8} {summary}\n   {mutant.note}", flush=True)
-        worst = max(worst, {"killed": 0, "survived": 1, "stale": 2}[status])
+        worst = max(worst, {"killed": 0, "equivalent": 0, "survived": 1, "stale": 2}[status])
     return worst
 
 

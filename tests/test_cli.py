@@ -265,7 +265,7 @@ def test_cap_is_reset_after_exit_4_and_5(monkeypatch, capsys):
 
 
 def test_library_cap_matches_cli_cap():
-    # a fresh interpreter, so no cached chamber data outlives the cap
+    # a fresh interpreter, so no cached Weyl data outlives the cap
     code = (
         "import json, tripletw as tw\n"
         "tw.WEYL_CAP.set(5)\n"
@@ -282,8 +282,9 @@ def test_library_cap_matches_cli_cap():
     cli_reports = [[e["check"], e["status"], e["info"]] for e in json.loads(r.stdout)]
     assert json.loads(lib.stdout) == cli_reports
     statuses = {c: s for c, s, _ in cli_reports}
-    assert statuses["remark311_iff"] == "skipped"
-    # the dual parameter needs only w0, which lists no W
+    # the chamber element is built from its words, like w0, so the chamber
+    # criterion lists no W; the dual parameter needs only w0
+    assert statuses["remark311_iff"] == "pass"
     assert statuses["delta_selfdual"] == statuses["lambda_count"] == "pass"
 
 
@@ -402,7 +403,8 @@ def test_lambda_list_memory_does_not_grow_with_rows(fmt):
 
 def test_w0_and_the_parameter_layer_list_no_weyl_group():
     # a fresh interpreter: W listed anywhere would leave its context in
-    # _WEYL_CACHE; cap 1 would refuse any call that reads Weyl data
+    # _WEYL_CACHE; cap 1 would refuse any call that reads Weyl data.  The
+    # chamber element, like w0, is built from its words.
     code = (
         "import contextlib, io, json\n"
         "import tripletw as tw\n"
@@ -411,8 +413,14 @@ def test_w0_and_the_parameter_layer_list_no_weyl_group():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(['lambda-list', '--type', 'D4', '-p', '6'])\n"
         "    grid = tw.GridSpec(types=('E7',), p_values=(2,))\n"
-        "    return [code, len(rootsys._WEYL_CACHE)] + [\n"
-        "        tw.run_check(c, grid).status for c in ('lemma216_equiv', 'delta_selfdual')]\n"
+        "    out = [tw.run_check(c, grid).status for c in ('lemma216_equiv', 'delta_selfdual')]\n"
+        "    for t in ('E7', 'E8'):\n"
+        "        mp = tw.build_model(tw.build_root_system(t), 2)\n"
+        "        for lam0 in tw.lambda0_set(mp.rs):\n"
+        "            tw.lemma310_construct(mp, (0,) * mp.rs.rank, lam0)\n"
+        "    grid = tw.GridSpec(types=('A3',), p_values=(4,))\n"
+        "    out.append(tw.run_check('remark311_iff', grid).status)\n"
+        "    return [code, len(rootsys._WEYL_CACHE)] + out\n"
         "print(json.dumps(run()))\n"
         "tw.WEYL_CAP.set(1)\n"
         "print(json.dumps(run()), len(rootsys._WEYL_CACHE))\n"
@@ -420,7 +428,8 @@ def test_w0_and_the_parameter_layer_list_no_weyl_group():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == ['[0, 0, "pass", "pass"]', '[0, 0, "pass", "pass"] 0']
+    assert r.stdout.splitlines() == ['[0, 0, "pass", "pass", "pass"]',
+                                     '[0, 0, "pass", "pass", "pass"] 0']
 
 
 # `python -m tripletw ARGV` that reports its own peak RSS on stderr as it

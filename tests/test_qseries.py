@@ -273,6 +273,30 @@ def test_module_char_a1_vs_fgst_theta_form(a1, p):
             assert (ch.base, ch.coeffs) == want, (lam0, sp)
 
 
+@pytest.mark.parametrize("t,ps,n", [("A1", range(2, 8), 20), ("A2", (3, 4), 20)])
+def test_lattice_char_vs_orthonormal_model_every_parameter(t, ps, n):
+    rs = build_root_system(t)
+    for p in ps:
+        for lam in lambda_params(build_model(rs, p)):
+            ch = lattice_char(build_model(rs, p), lam, n)
+            want = closed_forms.lattice_char_orthonormal(t[0], p, lam.lambda0, lam.sp, n)
+            assert (ch.base, ch.coeffs) == want, (p, lam)
+
+
+@pytest.mark.parametrize("t,p,cases", [
+    ("A3", 4, [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (3, 0, 2)),
+               ((0, 1, 0), (1, 2, 3)), ((0, 0, 1), (3, 3, 3))]),
+    ("D4", 6, [((0, 0, 0, 0), (0, 0, 0, 0)), ((1, 0, 0, 0), (5, 0, 1, 2)),
+               ((0, 0, 1, 0), (2, 4, 0, 5)), ((0, 0, 0, 1), (5, 5, 5, 5))]),
+])
+def test_lattice_char_vs_orthonormal_model_fixed_cases(t, p, cases):
+    mp = build_model(build_root_system(t), p)
+    for lam0, sp in cases:
+        ch = lattice_char(mp, LambdaParam(lam0, sp, p), 8)
+        want = closed_forms.lattice_char_orthonormal(t[0], p, lam0, sp, 8)
+        assert (ch.base, ch.coeffs) == want, (lam0, sp)
+
+
 def test_module_char_leading_dimension(a1, a2):
     mp = build_model(a2, 3)
     lam = LambdaParam((1, 0), (0, 0), 3)
@@ -588,13 +612,11 @@ def test_w_char_vs_weyl_denominator_above_the_default_cap(t):
 
 
 def test_direct_characters_enumerate_no_weyl_group(monkeypatch, d4, a2):
-    import tripletw.qseries as qs
     import tripletw.rootsys as rootsys
 
     def refuse(rs):
         raise AssertionError(f"the Weyl group of {rs.type} was enumerated")
 
-    monkeypatch.setattr(qs, "weyl_enumerate", refuse)
     monkeypatch.setattr(rootsys, "_enumerate", refuse)
     mp = build_model(d4, 6)
     lam = LambdaParam((1, 0, 0, 0), (1, 0, 2, 3), 6)

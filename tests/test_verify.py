@@ -83,6 +83,28 @@ def test_oversized_grid_skips():
     assert r.info == ("no types of rank <= 3 in grid",)
 
 
+def test_a_suite_with_no_case_says_so():
+    # p=2 is below h-1=3, so no A3 digit vector is narrow or on the boundary
+    reports = {r.check_name: r for r in run_all(GridSpec(types=("A3",), p_values=(2,)))}
+    narrow_note = ("no case: no narrow parameter in grid",)
+    want = {
+        "lemma215_strict": ("no case: no digit vector with a strict narrow "
+                            "inequality in grid",),
+        "lemma215_boundary_report": ("no case: no digit vector on the narrow "
+                                     "equality stratum in grid",),
+        "exponent_identity": narrow_note,
+        "char_nonneg_leading1": narrow_note,
+        "duality_chars": narrow_note,
+    }
+    for name, info in want.items():
+        assert (reports[name].status, reports[name].info) == ("pass", info), name
+    others = [r.info for n, r in reports.items() if n not in want]
+    assert not any(line.startswith("no case") for info in others for line in info)
+    # every suite has cases on the default grid, so none adds the note
+    for r in run_all(GridSpec()):
+        assert not any(line.startswith("no case") for line in r.info), r.check_name
+
+
 def test_grid_cross_order_follows_order():
     assert GridSpec().cross_order == 20
     assert GridSpec(order=6).cross_order == 6
