@@ -6,13 +6,14 @@ Grids are exhaustive over the stated ranges (no sampling), iterated in a fixed
 order, so reports are deterministic byte for byte.
 
 Check names are part of the CLI contract; `run_check` rejects unknown names.
+Each suite is a generator yielding one item per case, which `run_check` alone
+counts and collects: None when the case holds, a counterexample dict when it
+fails, or an info row, which only the report-only lemma215_boundary_report
+yields (epsilon at the longest element where narrow is an equality).
 A check that cannot run on the given grid (Weyl cap exceeded, no types in
 range) reports status "skipped" with the reason in `info` rather than failing.
-A suite that counts its cases and found none on the grid still reports
-"pass", with a "no case: ..." line in `info` naming why.
-One suite, lemma215_boundary_report, is report-only: it never fails, it just
-records how the longest-element digit vector behaves on the boundary stratum
-where the narrow inequality is an equality.
+A suite registered with a no-case reason that yields nothing on the grid
+still reports "pass", with a "no case: <reason> in grid" line in `info`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .rootsys import (
     _context,
     build_root_system,
     cartan_type,
+    check_weyl_cap,
     enum_dominant_in_Q,
     longest_element,
     norm_sq,
@@ -63,10 +65,10 @@ class GridSpec:
     """Parameter ranges a check runs over.
 
     p values are h+p_lo .. h+p_hi per type, clamped to >= 2 and deduplicated,
-    unless p_values gives an absolute list.  order is the window for single
-    characters, cross_order (by default min(order, 20)) for pairwise character
-    comparisons.  alpha ranges over dominant root-lattice weights with
-    |alpha| <= |rho| + alpha_margin.
+    unless p_values gives an absolute list; an empty p range is refused.
+    order is the window for single characters, cross_order (by default
+    min(order, 20)) for pairwise character comparisons.  alpha ranges over
+    dominant root-lattice weights with |alpha| <= |rho| + alpha_margin.
     """
 
     types: tuple = ("A1", "A2")
@@ -86,6 +88,8 @@ class GridSpec:
                                int_vec(self.p_values, len(self.p_values)))
         if self.cross_order is None:
             object.__setattr__(self, "cross_order", min(self.order, 20))
+        if self.p_values == () or (self.p_values is None and self.p_lo > self.p_hi):
+            raise ValueError("empty p range")
 
 
 @dataclass(frozen=True)
@@ -125,29 +129,31 @@ def _models(grid: GridSpec, max_rank: int | None = None):
 
 
 def _cases(grid: GridSpec, narrow_only=False, max_rank=None, alphas=False,
-           flag_narrow=False, weyl=False):
+           weyl=False):
     """Every case a parameter suite visits: (mp, lam, alpha, is_narrow, elems).
 
     Models come in grid order, lam in lambda_params order and, with alphas,
     alpha innermost over the dominant root-lattice weights within the grid's
     margin (None without alphas).  is_narrow is narrow(mp, lam.sp), evaluated
-    once per lam when narrow_only keeps only narrow lam or flag_narrow asks
-    for it, and None otherwise.  With weyl, elems is the model's Weyl group,
-    enumerated before its first lam so that a Weyl cap skips the suite even
-    where it has no case; None otherwise.  max_rank leaves out types of larger
-    rank and skips the suite when none is left.
+    once per lam; narrow_only keeps only narrow lam.  With weyl, elems is the
+    model's Weyl group (None otherwise): the Weyl cap is checked before the
+    model's first lam, so that it skips the suite even where it has no case,
+    but W is listed only at the first case.  max_rank leaves out types of
+    larger rank and skips the suite when none is left.
     """
     models = list(_models(grid, max_rank))
     if max_rank is not None and not models:
         raise _Skip(f"no types of rank <= {max_rank} in grid")
     for mp in models:
-        elems = weyl_enumerate(mp.rs) if weyl else None
+        if weyl:
+            check_weyl_cap(mp.rs)
         alpha_range = (enum_dominant_in_Q(mp.rs, grid.alpha_margin, relative=True)
                        if alphas else (None,))
         for lam in lambda_params(mp):
-            is_narrow = narrow(mp, lam.sp) if narrow_only or flag_narrow else None
+            is_narrow = narrow(mp, lam.sp)
             if narrow_only and not is_narrow:
                 continue
+            elems = weyl_enumerate(mp.rs) if weyl else None  # listed once, then cached
             for alpha in alpha_range:
                 yield mp, lam, alpha, is_narrow, elems
 
@@ -173,12 +179,6 @@ def _describe(grid: GridSpec) -> str:
     )
 
 
-def _no_case(count: int, what: str) -> list:
-    """The info line of a suite that counted no case, naming why; the
-    status stays pass."""
-    return [] if count else [f"no case: {what} in grid"]
-
-
 def _rec(**kw) -> dict:
     return {k: str(v) for k, v in kw.items()}
 
@@ -190,65 +190,50 @@ def _ce(mp, lam, **kw) -> dict:
 
 def _check_strange_formula(grid: GridSpec):
     """|rho|^2 = h dim(g)/12, and the two central charge forms agree."""
-    ces = []
     for t in grid.types:
         rs = build_root_system(t)
         lhs = norm_sq(rs, rs.rho)
         rhs = Fraction(rs.coxeter_h * rs.dim_g, 12)
-        if lhs != rhs:
-            ces.append(_rec(type=t, rho_norm_sq=lhs, h_dimg_over_12=rhs))
+        yield _rec(type=t, rho_norm_sq=lhs, h_dimg_over_12=rhs) if lhs != rhs else None
         for p in _ps(grid, rs):
             mp = build_model(rs, p)
             a = central_charge(mp)
             b = central_charge_coxeter_form(mp)
-            if a != b:
-                ces.append(_rec(type=t, p=p, c_rho_form=a, c_coxeter_form=b))
-    return ces, []
+            yield _rec(type=t, p=p, c_rho_form=a, c_coxeter_form=b) if a != b else None
 
 
 def _check_lemma215_strict(grid: GridSpec):
     """epsilon at the longest element is -rho whenever the narrow inequality
     is strict."""
-    ces, count = [], 0
     for mp, w0, sp in _digit_cases(grid):
         if narrow_margin(mp, sp) >= 0:
             continue
-        count += 1
         eps = epsilon(mp, sp, w0)
         target = (-1,) * mp.rs.rank
-        if eps != target:
-            ces.append(_rec(type=mp.rs.type, p=mp.p, sp=sp,
-                            epsilon=eps, minus_rho=target))
-    return ces, _no_case(count, "no digit vector with a strict narrow inequality")
+        yield (_rec(type=mp.rs.type, p=mp.p, sp=sp, epsilon=eps, minus_rho=target)
+               if eps != target else None)
 
 
 def _check_lemma215_boundary(grid: GridSpec):
     """Report-only: epsilon at the longest element on the equality stratum of
     the narrow condition, compared against -rho."""
-    rows = []
     for mp, w0, sp in _digit_cases(grid):
         if narrow_margin(mp, sp) != 0:
             continue
         eps = epsilon(mp, sp, w0)
         target = (-1,) * mp.rs.rank
-        rows.append(
-            f"{mp.rs.type} p={mp.p} sp={sp}: epsilon={eps} "
-            f"minus_rho={target} agree={eps == target}"
-        )
-    return [], rows + _no_case(len(rows), "no digit vector on the narrow equality stratum")
+        yield (f"{mp.rs.type} p={mp.p} sp={sp}: epsilon={eps} "
+               f"minus_rho={target} agree={eps == target}")
 
 
 def _check_lemma216_equiv(grid: GridSpec):
     """The digit-chain vanishing condition along the canonical reduced word of
     the longest element holds iff the narrow inequality does, for every sp."""
-    ces = []
     for mp, w0, sp in _digit_cases(grid):
         c1 = lemma216_cond1(mp, sp, w0.word)
         c2 = narrow(mp, sp)
-        if c1 != c2:
-            ces.append(_rec(type=mp.rs.type, p=mp.p, sp=sp,
-                            chain_condition=c1, narrow=c2))
-    return ces, []
+        yield (_rec(type=mp.rs.type, p=mp.p, sp=sp, chain_condition=c1, narrow=c2)
+               if c1 != c2 else None)
 
 
 def _brute_pairs(mp, alpha, lam, elems):
@@ -314,164 +299,140 @@ def _pulled_roots(rs, elems):
 def _check_lemma310_bruteforce(grid: GridSpec):
     """For rank <= 2: the brute-force set of chamber pairs contains the
     constructed pair exactly when the parameter is narrow."""
-    ces = []
     for mp, lam, alpha, is_narrow, elems in _cases(
-            grid, max_rank=2, alphas=True, flag_narrow=True, weyl=True):
+            grid, max_rank=2, alphas=True, weyl=True):
         _, sigma, beta = lemma310_construct(mp, alpha, lam.lambda0)
         contained = (sigma.matrix, beta) in _brute_pairs(mp, alpha, lam, elems)
-        if contained != is_narrow:
-            ces.append(_ce(mp, lam, alpha=alpha, sigma=sigma.word, beta=beta,
-                           in_brute_set=contained, narrow=is_narrow))
-    return ces, []
+        yield (_ce(mp, lam, alpha=alpha, sigma=sigma.word, beta=beta,
+                   in_brute_set=contained, narrow=is_narrow)
+               if contained != is_narrow else None)
 
 
 def _check_remark311_iff(grid: GridSpec):
     """For rank <= 3: the constructed chamber pair passes the chamber
     criterion iff the parameter is narrow."""
-    ces = []
-    for mp, lam, alpha, is_narrow, _ in _cases(
-            grid, max_rank=3, alphas=True, flag_narrow=True):
+    for mp, lam, alpha, is_narrow, _ in _cases(grid, max_rank=3, alphas=True):
         _, sigma, beta = lemma310_construct(mp, alpha, lam.lambda0)
         ok = lemma39_test(mp, sigma, beta, alpha, lam)
-        if ok != is_narrow:
-            ces.append(_ce(mp, lam, alpha=alpha, sigma=sigma.word, beta=beta,
-                           criterion=ok, narrow=is_narrow))
-    return ces, []
+        yield (_ce(mp, lam, alpha=alpha, sigma=sigma.word, beta=beta,
+                   criterion=ok, narrow=is_narrow) if ok != is_narrow else None)
 
 
 def _check_exponent_identity(grid: GridSpec):
     """Affine-orbit exponents equal direct character exponents element by
     element, for every narrow parameter and every alpha in range."""
-    ces, count = [], 0
     for mp, lam, alpha, _, elems in _cases(
             grid, narrow_only=True, alphas=True, weyl=True):
-        count += 1
         for sigma in elems:
             a = affine_exponent(mp, sigma, alpha, lam)
             d = direct_exponent(mp, sigma, alpha, lam)
-            if a != d:
-                ces.append(_ce(mp, lam, alpha=alpha, sigma=sigma.word,
-                               affine=a, direct=d))
-    return ces, _no_case(count, "no narrow parameter")
+            yield (_ce(mp, lam, alpha=alpha, sigma=sigma.word, affine=a, direct=d)
+                   if a != d else None)
 
 
 def _check_char_nonneg_leading1(grid: GridSpec):
     """Signed Weyl characters of narrow parameters have leading coefficient 1
     and no negative coefficient through the window."""
-    ces, count = [], 0
     for mp, lam, alpha, *_ in _cases(grid, narrow_only=True, alphas=True):
-        count += 1
         ch = w_char(mp, alpha, lam, grid.order)
         if ch.coeffs[0] != 1:
-            ces.append(_ce(mp, lam, alpha=alpha, leading=ch.coeffs[0], expected=1))
+            yield _ce(mp, lam, alpha=alpha, leading=ch.coeffs[0], expected=1)
             continue
         bad = [j for j, c in enumerate(ch.coeffs) if c < 0]
-        if bad:
-            ces.append(_ce(mp, lam, alpha=alpha, first_negative_offset=bad[0],
-                           coefficient=ch.coeffs[bad[0]]))
-    return ces, _no_case(count, "no narrow parameter")
+        yield (_ce(mp, lam, alpha=alpha, first_negative_offset=bad[0],
+                   coefficient=ch.coeffs[bad[0]]) if bad else None)
 
 
 def _check_submodule_bound(grid: GridSpec):
     """Lattice-module coefficients dominate module coefficients at every
     exponent of the lattice window, for every parameter."""
-    ces = []
     n = grid.cross_order
     for mp, lam, *_ in _cases(grid):
         mc = module_char(mp, lam, n)
         lc = lattice_char(mp, lam, n)
         shift = mc.base - lc.base
         if shift.denominator != 1 or shift < 0:
-            ces.append(_ce(mp, lam, module_base=mc.base, lattice_base=lc.base))
+            yield _ce(mp, lam, module_base=mc.base, lattice_base=lc.base)
             continue
         d = int(shift)
         for j in range(lc.order + 1):
             m = mc.coeffs[j - d] if d <= j else 0
             if lc.coeffs[j] < m:
-                ces.append(_ce(mp, lam, exponent=lc.base + j,
-                               lattice=lc.coeffs[j], module=m))
+                yield _ce(mp, lam, exponent=lc.base + j, lattice=lc.coeffs[j], module=m)
                 break
-    return ces, []
+        else:
+            yield None
 
 
 def _check_duality_chars(grid: GridSpec):
     """module_char agrees with module_char of the dual parameter for narrow
     parameters, through the cross-comparison window."""
-    ces, count = [], 0
     n = grid.cross_order
     for mp, lam, *_ in _cases(grid, narrow_only=True):
-        count += 1
         dual = dual_param(mp, lam)
         a = module_char(mp, lam, n)
         b = module_char(mp, dual, n)
-        if not qs_eq(a, b, n):
-            ces.append(_ce(mp, lam, dual_lambda0=dual.lambda0, dual_sp=dual.sp,
-                           char=(str(a.base), a.coeffs),
-                           dual_char=(str(b.base), b.coeffs)))
-    return ces, _no_case(count, "no narrow parameter")
+        yield (_ce(mp, lam, dual_lambda0=dual.lambda0, dual_sp=dual.sp,
+                   char=(str(a.base), a.coeffs), dual_char=(str(b.base), b.coeffs))
+               if not qs_eq(a, b, n) else None)
 
 
 def _check_delta_selfdual(grid: GridSpec):
     """Conformal weights are invariant under the dual parameter involution,
     for every parameter."""
-    ces = []
     for mp, lam, *_ in _cases(grid):
         dual = dual_param(mp, lam)
         a = delta_lambda(mp, lam)
         b = delta_lambda(mp, dual)
-        if a != b:
-            ces.append(_ce(mp, lam, delta=a, dual_delta=b))
-    return ces, []
+        yield _ce(mp, lam, delta=a, dual_delta=b) if a != b else None
 
 
 def _check_lambda_count(grid: GridSpec):
     """The parameter list has |P/Q| p^l distinct entries and the canonical
     form of each entry's weight is the entry itself."""
-    ces = []
     for mp in _models(grid):
         rs = mp.rs
         lams = lambda_params(mp)
         expected = rs.det * mp.p ** rs.rank
-        if len(lams) != expected:
-            ces.append(_rec(type=rs.type, p=mp.p, count=len(lams),
-                            expected=expected))
+        yield (_rec(type=rs.type, p=mp.p, count=len(lams), expected=expected)
+               if len(lams) != expected else None)
         keys = {(lam.lambda0, lam.sp) for lam in lams}
-        if len(keys) != len(lams):
-            ces.append(_rec(type=rs.type, p=mp.p, distinct=len(keys),
-                            count=len(lams)))
+        yield (_rec(type=rs.type, p=mp.p, distinct=len(keys), count=len(lams))
+               if len(keys) != len(lams) else None)
         for lam in lams:
             back = canonical_lambda(mp, lambda_x(mp, lam))
-            if back != lam:
-                ces.append(_ce(mp, lam, roundtrip_lambda0=back.lambda0,
-                               roundtrip_sp=back.sp))
-    return ces, []
+            yield (_ce(mp, lam, roundtrip_lambda0=back.lambda0, roundtrip_sp=back.sp)
+                   if back != lam else None)
 
 
+# name: (grid note, suite, the reason named when it yields no item, or None)
 _CHECKS = {
     "strange_formula": ("per type; c double form per (type, p)",
-                        _check_strange_formula),
+                        _check_strange_formula, None),
     "lemma215_strict": ("sp with strict narrow inequality",
-                        _check_lemma215_strict),
+                        _check_lemma215_strict,
+                        "no digit vector with a strict narrow inequality"),
     "lemma215_boundary_report": ("sp on the narrow equality stratum; report only",
-                                 _check_lemma215_boundary),
+                                 _check_lemma215_boundary,
+                                 "no digit vector on the narrow equality stratum"),
     "lemma216_equiv": ("all p^l digit vectors sp",
-                       _check_lemma216_equiv),
+                       _check_lemma216_equiv, None),
     "lemma310_bruteforce": ("rank <= 2; all sp; all alpha; |beta| <= |v|+2",
-                            _check_lemma310_bruteforce),
+                            _check_lemma310_bruteforce, None),
     "remark311_iff": ("rank <= 3; all sp; all alpha",
-                      _check_remark311_iff),
+                      _check_remark311_iff, None),
     "exponent_identity": ("narrow sp; all alpha; per Weyl element",
-                          _check_exponent_identity),
+                          _check_exponent_identity, "no narrow parameter"),
     "char_nonneg_leading1": ("narrow sp; all alpha; window=order",
-                             _check_char_nonneg_leading1),
+                             _check_char_nonneg_leading1, "no narrow parameter"),
     "submodule_bound": ("all sp; window=cross_order",
-                        _check_submodule_bound),
+                        _check_submodule_bound, None),
     "duality_chars": ("narrow sp; window=cross_order",
-                      _check_duality_chars),
+                      _check_duality_chars, "no narrow parameter"),
     "delta_selfdual": ("all sp",
-                       _check_delta_selfdual),
+                       _check_delta_selfdual, None),
     "lambda_count": ("per (type, p)",
-                     _check_lambda_count),
+                     _check_lambda_count, None),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -480,19 +441,27 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_check(name: str, grid: GridSpec) -> CheckReport:
     """Run one named check over the grid.  Unknown names are rejected."""
     try:
-        note, fn = _CHECKS[name]
+        note, suite, no_case = _CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check name: {name!r}") from None
     desc = f"{_describe(grid)} | {note}"
     if not grid.types:
         return CheckReport(name, desc, "skipped", (), info=("empty grid: no types",))
+    ces, info, count = [], [], 0
     try:
-        ces, info = fn(grid)
+        for item in suite(grid):
+            count += 1
+            if isinstance(item, str):
+                info.append(item)
+            elif item is not None:
+                ces.append(item)
     except CapExceeded as exc:
         return CheckReport(name, desc, "skipped", (),
                            info=(f"enumeration cap exceeded: {exc}",))
     except _Skip as exc:
         return CheckReport(name, desc, "skipped", (), info=(str(exc),))
+    if not count and no_case:
+        info.append(f"no case: {no_case} in grid")
     return CheckReport(name, desc, "fail" if ces else "pass", tuple(ces),
                        info=tuple(info))
 

@@ -5,15 +5,17 @@ the package that the tests must catch.
 
 For each mutant the tree (src/, tests/, bench/ without its results,
 pyproject.toml and BENCHMARK.json, which tests/test_bench_contract.py
-reads) is copied to a temporary directory, the edit is made in the copy (the old text must occur
-exactly once), and pytest runs there with PYTEST_ARGS, by default the fast
-subset below.  A mutant is killed when pytest fails and survived when it
-passes, or equivalent when it passes and is marked so, with the reason in
-its note; the last line of pytest's report is printed with it.  The working
-tree is never edited, and `tests/test_mutants.py` (left out of the copy)
-checks that every old text is found exactly once.  Stdlib only; the exit
-status is 1 if a mutant survived and 2 if a mutant's old text is not found
-exactly once.
+reads) is copied to a temporary directory, the edit is made in the copy
+(the old text must occur exactly once), and pytest runs there in stages:
+first the fast subset below, then, only for a mutant that survived it, full
+tier-1.  With PYTEST_ARGS pytest runs once, with those arguments.  A mutant
+is killed when pytest fails, and the report names the stage that killed
+it; it survived when every stage passes, or is equivalent when it passes
+and is marked so, with the reason in its note.  The last line of pytest's
+report is printed with it.  The working tree is never edited, and
+`tests/test_mutants.py` (left out of the copy) checks that every old text
+is found exactly once.  Stdlib only; the exit status is 1 if a mutant
+survived and 2 if a mutant's old text is not found exactly once.
 """
 
 import os
@@ -27,6 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 FAST = ["tests/test_affine.py", "tests/test_qseries.py", "tests/test_exact.py",
         "tests/test_params.py"]
+STAGES = [("fast", FAST), ("tier-1", ["--continue-on-collection-errors"])]
 
 
 class Mutant(NamedTuple):
@@ -120,11 +123,53 @@ MUTANTS = [
         "_w_terms: the canonical-parent test dropped, so an orbit point is "
         "reached once per parent",
     ),
+    Mutant(
+        "M10", "src/tripletw/verify.py",
+        "if not count and no_case:",
+        "if count and no_case:",
+        "run_check: the no-case note written when the suite has cases",
+    ),
+    Mutant(
+        "M11", "src/tripletw/verify.py",
+        """        if weyl:
+            check_weyl_cap(mp.rs)
+""",
+        "",
+        "_cases: no Weyl cap check before the first lam, so a capped suite "
+        "with no case passes instead of being skipped",
+    ),
+    Mutant(
+        "M12", "src/tripletw/verify.py",
+        "if narrow_only and not is_narrow:",
+        "if narrow_only and is_narrow:",
+        "_cases: narrow_only keeps the wide parameters",
+    ),
+    Mutant(
+        "M13", "src/tripletw/qseries.py",
+        "a * a > 4 * pv * u_det",
+        "a * a > pv * u_det",
+        "_alpha_candidates: the drop test loses its factor 4 and drops "
+        "candidates that contribute",
+    ),
+    Mutant(
+        "M14", "src/tripletw/affine.py",
+        'f"        n{i} = m{i} + p * b{i}"',
+        'f"        n{i} = m{i} - p * b{i}"',
+        "route kernel: n = m - p b instead of m + p b",
+    ),
+    Mutant(
+        "M15", "src/tripletw/verify.py",
+        "rs.adj[i][i] // (m * m)",
+        "rs.adj[i][i] // m",
+        "_brute_pairs: the alcove bound divided by the mark m instead of m^2, "
+        "a larger ellipsoid",
+    ),
 ]
 
 
-def run(mutant: Mutant, pytest_args: list[str]) -> tuple[str, str]:
-    """(status, last line of pytest's report) for one mutant."""
+def run(mutant: Mutant, stages: list) -> tuple[str, str]:
+    """(status, "stage: last line of pytest's report") for one mutant, run
+    through the (stage name, pytest args) stages until one fails."""
     with tempfile.TemporaryDirectory(prefix="tripletw-mutant-") as tmp:
         tree = Path(tmp)
         # test_mutants.py checks that each old text is present, so a copy
@@ -141,22 +186,23 @@ def run(mutant: Mutant, pytest_args: list[str]) -> tuple[str, str]:
             return "stale", f"old text found {text.count(mutant.old)} times in {mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pytest_args],
-            cwd=tree, env=env, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode:
-        status = "killed"
-    else:
-        status = "equivalent" if mutant.equivalent else "survived"
-    return status, (lines[-1] if lines else "")
+        for stage, pytest_args in stages:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 *pytest_args],
+                cwd=tree, env=env, capture_output=True, text=True)
+            lines = proc.stdout.strip().splitlines()
+            summary = f"{stage}: {lines[-1] if lines else ''}"
+            if proc.returncode:
+                return "killed", summary
+    return ("equivalent" if mutant.equivalent else "survived"), summary
 
 
 def main(argv: list[str]) -> int:
-    pytest_args = argv or FAST
+    stages = [("given", argv)] if argv else STAGES
     worst = 0
     for mutant in MUTANTS:
-        status, summary = run(mutant, pytest_args)
+        status, summary = run(mutant, stages)
         print(f"{mutant.name} {status:8} {summary}\n   {mutant.note}", flush=True)
         worst = max(worst, {"killed": 0, "equivalent": 0, "survived": 1, "stale": 2}[status])
     return worst

@@ -9,8 +9,11 @@ byte-identical stdout and exit codes on every call when their outputs are
 identical, so a change that must keep the CLI's output is checked with one
 `diff` of the two.  The calls are every `cli_calls` argv of the benchmark's
 seeds 1-10, `verify all` and `lambda-list --type D4 -p 6` in every format,
-`info` on A1-A8, D4-D8 and E6-E8 in every format, and `char w-affine` at
-`--order 3` for every lambda0 on A3 p=5, D4 p=7, D5 p=9 and E6 p=13.
+`info` on A1-A8, D4-D8 and E6-E8 in every format, `char w-affine` at
+`--order 3` for every lambda0 on A3 p=5, D4 p=7, D5 p=9 and E6 p=13, and
+the verify runner's other paths: suites with no case (A3 p=2), a Weyl cap
+skip with no case, Weyl cap skips across `verify all`, and a suite with no
+case on E6, which lists no W.
 
 Stdlib only; the file name keeps pytest from collecting it.
 """
@@ -43,6 +46,13 @@ def argvs() -> list[list[str]]:
         for lam0 in lambda0_set(build_root_system(t)):
             calls.append(["char", "w-affine", "--type", t, "-p", str(p), "--order", "3",
                           "--lambda0", ",".join(map(str, lam0))])
+    calls += [
+        ["verify", "all", "--type", "A3", "-p", "2", "--output", "text"],
+        ["verify", "exponent_identity", "--type", "A3", "-p", "2", "--weyl-cap", "23",
+         "--output", "text"],
+        ["verify", "all", "--type", "A2", "-p", "3", "--weyl-cap", "5", "--output", "csv"],
+        ["verify", "exponent_identity", "--type", "E6", "-p", "2", "--order", "3"],
+    ]
     return list(map(list, dict.fromkeys(map(tuple, calls))))
 
 

@@ -490,6 +490,18 @@ def test_cold_e6_affine_character_is_fast_and_small():
     assert kb < 100 * 1024, f"peak RSS {kb} kB"
 
 
+def test_a_verify_with_no_case_lists_no_weyl_group():
+    # no E6 parameter is narrow at p=2, so exponent_identity has no case and
+    # W(E6), 51,840 elements, is never listed
+    r, _, kb = _run_measured("verify", "exponent_identity", "--type", "E6", "-p", "2",
+                             "--order", "3")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)[0]["info"] == ["no case: no narrow parameter in grid"]
+    if kb is None:
+        pytest.skip("no /proc/self/status: the peak RSS is unchecked")
+    assert kb < 30 * 1024, f"peak RSS {kb} kB"
+
+
 _KEYS = st.text(max_size=6) | st.sampled_from(
     ['"', "\\", "\n\t\x00\x1f", "\u00e9\u2603", "\U0001f600"])
 _SCALARS = (st.none() | st.booleans() | st.integers()

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import product
 from math import floor, isqrt
 
@@ -14,7 +16,7 @@ from tripletw import (
     run_check,
     weyl_enumerate,
 )
-from tripletw._exact import mat_vec, sqrt_upper
+from tripletw._exact import lattice_points, mat_vec, sqrt_upper
 from tripletw.affine import lemma39_test
 from tripletw.rootsys import WEYL_CAP, CapExceeded, norm_sq
 from tripletw.verify import CHECK_NAMES, LAMBDA_CAP, _brute_pairs, _cases, all_passed
@@ -105,6 +107,41 @@ def test_a_suite_with_no_case_says_so():
         assert not any(line.startswith("no case") for line in r.info), r.check_name
 
 
+def test_an_empty_p_range_is_refused():
+    for grid in (dict(p_lo=3, p_hi=1), dict(p_values=())):
+        with pytest.raises(ValueError, match="empty p range"):
+            GridSpec(**grid)
+    assert GridSpec(p_lo=1, p_hi=1).p_hi == 1
+
+
+def test_a_suite_with_no_case_lists_no_weyl_group():
+    # a fresh interpreter, so that no earlier test has filled the Weyl cache
+    code = (
+        "import tripletw as tw\n"
+        "from tripletw import rootsys\n"
+        "grid = tw.GridSpec(types=('E6',), p_values=(2,), order=3)\n"
+        "r = tw.run_check('exponent_identity', grid)\n"
+        "print(r.status, r.info, len(rootsys._WEYL_CACHE))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "pass ('no case: no narrow parameter in grid',) 0\n"
+
+
+def test_the_weyl_cap_skips_a_suite_with_no_case():
+    # A3 p=2 has no narrow parameter, yet |W(A3)| = 24 > 23 still skips the
+    # suite that would list W, before it looks for a case
+    token = WEYL_CAP.set(23)
+    try:
+        r = run_check("exponent_identity", GridSpec(types=("A3",), p_values=(2,)))
+    finally:
+        WEYL_CAP.reset(token)
+    assert r.status == "skipped"
+    assert r.info == ("enumeration cap exceeded: enumeration needs cap >= 24, "
+                      "current cap is 23",)
+
+
 def test_grid_cross_order_follows_order():
     assert GridSpec().cross_order == 20
     assert GridSpec(order=6).cross_order == 6
@@ -159,7 +196,7 @@ def test_brute_pairs_keep_their_definition():
     grid = GridSpec(types=("A1", "A2"), p_values=(2, 3, 4, 5, 6, 7))
     wide = 0  # the grid has non-narrow cases (A2 only)
     for mp, lam, alpha, is_narrow, elems in _cases(
-            grid, alphas=True, flag_narrow=True, weyl=True):
+            grid, alphas=True, weyl=True):
         wide += not is_narrow
         assert _brute_pairs(mp, alpha, lam, elems) == _lemma39_pairs(mp, alpha, lam, elems)
     assert wide > 0
@@ -192,6 +229,34 @@ def test_brute_hits_lie_in_the_alcove_ball():
                 at_radius += moved_sq == radius_sq
     assert hits > 0
     assert at_radius > 0
+
+
+def test_the_brute_scan_lists_only_the_alcove_ball(monkeypatch):
+    # every point _brute_pairs scans has |x| <= R, so the ellipsoid is no
+    # wider than the alcove ball; D5's marks (1, 2, 2, 1, 1) are not all 1,
+    # so a bound off by a mark would scan points beyond it
+    rs = build_root_system("D5")
+    mp = build_model(rs, 3)
+    p = mp.p
+    scanned = []
+
+    def recording(*args):
+        for point in lattice_points(*args):
+            scanned.append(point[0])
+            yield point
+
+    monkeypatch.setattr("tripletw.verify.lattice_points", recording)
+    radius_sq = _alcove_radius_sq(mp)
+    alpha = (0,) * rs.rank
+    for lam in lambda_params(mp)[::97]:
+        scanned.clear()
+        _brute_pairs(mp, alpha, lam, ())
+        v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
+        for beta in scanned:
+            beta_f = mat_vec(rs.cartan, beta)
+            x = tuple(p * (b - c) + s + 1 for b, c, s in zip(beta_f, v, lam.sp))
+            assert norm_sq(rs, x) <= radius_sq, (lam, beta)
+        assert scanned, lam
 
 
 def test_brute_pairs_keep_their_definition_on_a3():
