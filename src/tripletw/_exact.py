@@ -83,11 +83,12 @@ def sqrt_upper(x: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)  # one entry per Gram matrix: two per root type in use
-def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+def _ldl(gram):
     """Exact G = U^T D U with U unit upper triangular, so that
-    y^T G y = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2.  Returns (d, u).
-
-    Raises ValueError unless G is symmetric positive definite.
+    y^T G y = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2.  Returns (d, u, plan),
+    plan = (k, m d, k u above the diagonal, m k^2) with k and m the common
+    denominators of u and d.  Raises ValueError unless G is symmetric
+    positive definite.
     """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
@@ -102,14 +103,17 @@ def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
         for k in range(i + 1, n):
             for j in range(k, n):
                 a[k][j] -= a[i][k] * d * a[i][j]
-    return (tuple(a[i][i] for i in range(n)),
-            tuple(tuple(a[i]) for i in range(n)))
+    d = tuple(a[i][i] for i in range(n))
+    k = lcm(*(x.denominator for i, row in enumerate(a) for x in row[i + 1:]))
+    m = lcm(*(x.denominator for x in d))
+    ku = tuple(tuple(int(x * k) for x in row[i + 1:]) for i, row in enumerate(a))
+    return d, tuple(map(tuple, a)), (k, tuple(int(x * m) for x in d), ku, m * k * k)
 
 
 def ldl_inverse(gram) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
     """(G^-1, det G), both exact, from the G = U^T D U of _ldl: column j of
     G^-1 solves U^T z = e_j, D w = z, U y = w, and det G = prod d_i."""
-    d, u = _ldl(gram)
+    d, u, _ = _ldl(gram)
     n = len(d)
     cols = []
     for j in range(n):
@@ -126,20 +130,21 @@ def ldl_inverse(gram) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
 def lattice_points(gram, num, den, bound, lower=None):
     """Every integer vector r with q = (den r - num)^T G (den r - num) <= bound,
     and r_i >= lower_i when `lower` is given, as the pair (r, q); each r
-    exactly once, in a fixed order.
+    exactly once, the last coordinate outermost and each one ascending.
 
     G is a symmetric positive definite integer matrix, num an integer vector
     and den > 0 and bound integers, so the ellipsoid is centred at num / den
     and q is an exact int.  Fincke-Pohst enumeration (Math. Comp. 44, 1985)
-    on the exact G = U^T D U of _ldl: coordinates are fixed from the last one
-    down.  With k the common denominator of the u_ij and m that of the d_i,
-    s q = sum_i e_i (b r_i - a_i)^2 with e_i = m d_i, b = k den and the a_i
-    integers, s = m k^2; so each node takes one isqrt on an int budget, and
-    no Fraction is made after set-up.  Boundary points are included.
+    on the integer plan that _ldl caches, s q = sum_i e_i (b r_i - a_i)^2
+    with b = k den and int a_i, so a call makes no Fraction.  One generator
+    frame walks the levels from the last one down: a level opens with one
+    isqrt of the budget the levels above leave, giving [lo, top] for r_i,
+    and each step of r_i opens the level below or, at level 0, yields the
+    point.  Boundary points are included.
     """
-    gram = tuple(tuple(index(x) for x in row) for row in gram)
+    gram = tuple(tuple(map(index, row)) for row in gram)
     n = len(gram)
-    num = tuple(index(x) for x in num)
+    num = tuple(map(index, num))
     den = index(den)
     bound = index(bound)
     if any(len(row) != n for row in gram) or len(num) != n or (
@@ -147,36 +152,37 @@ def lattice_points(gram, num, den, bound, lower=None):
         raise ValueError("dimension mismatch")
     if den <= 0:
         raise ValueError("den must be positive")
-    d, u = _ldl(gram)
+    k, e, ku, s = _ldl(gram)[2]
     if bound < 0:
         return
-    k = lcm(*(x.denominator for row in u for x in row))
-    m = lcm(*(x.denominator for x in d))
-    e = tuple(int(x * m) for x in d)
-    ku = tuple(tuple(int(x * k) for x in row[i + 1:]) for i, row in enumerate(u))
     # a_i = c_i - den sum_{j>i} k u_ij r_j, with c_i = sum_{j>=i} k u_ij num_j
-    c = tuple(k * num[i] + sum(map(mul, ku[i], num[i + 1:])) for i in range(n))
+    c = [k * num[i] + sum(map(mul, ku[i], num[i + 1:])) for i in range(n)]
     b = k * den
-    s = m * k * k
     budget = s * bound
-    r = [0] * n
-
-    def rec(i, left):
-        a = c[i] - den * sum(map(mul, ku[i], r[i + 1:]))
-        t = isqrt(left // e[i])
-        lo = -((t - a) // b)
+    r, a, top = [0] * n, [0] * n, [0] * n
+    left = [0] * n + [budget]  # left[i + 1]: the budget levels n-1..i+1 leave
+    i = n - 1
+    while True:
+        ai = a[i] = c[i] - den * sum(map(mul, ku[i], r[i + 1:]))
+        t = isqrt(left[i + 1] // e[i])
+        lo = -((t - ai) // b)
         if lower is not None and lower[i] > lo:
             lo = lower[i]
-        for x in range(lo, (a + t) // b + 1):
-            r[i] = x
-            rest = left - e[i] * (b * x - a) ** 2
-            if i:
-                yield from rec(i - 1, rest)
+        top[i] = (ai + t) // b
+        r[i] = lo - 1
+        while True:
+            x = r[i] = r[i] + 1
+            if x > top[i]:
+                if i == n - 1:
+                    return
+                i += 1
                 continue
-            q, frac = divmod(budget - rest, s)
+            left[i] = left[i + 1] - e[i] * (b * x - a[i]) ** 2
+            if i:
+                i -= 1
+                break
+            q, frac = divmod(budget - left[0], s)
             if frac:
-                raise RuntimeError(f"form value {budget - rest}/{s} at {tuple(r)} "
+                raise RuntimeError(f"form value {budget - left[0]}/{s} at {tuple(r)} "
                                    "is not an integer")
             yield tuple(r), q
-
-    yield from rec(n - 1, budget)

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
-from ._exact import IntVec, dot, int_vec, lattice_points, mat_vec, sqrt_upper
+from ._exact import IntVec, dot, int_vec, lattice_points, mat_vec
 from .affine import _affine_terms
 from .params import (
     LambdaParam,
@@ -323,7 +323,7 @@ def _assemble(mp: ModelParams, terms, n: int, anchor_scaled: int | None = None) 
     lo = min(off for off, _ in offsets)
     width = n - lo
     if width < 0:
-        return QSeries(base=Fraction(anchor_scaled, den) - Fraction(rs.rank, 24) + n,
+        return QSeries(base=Fraction(24 * (anchor_scaled + n * den) - rs.rank * den, 24 * den),
                        coeffs=(0,), order=0)
     eta = colored_partitions(rs.rank, width)
     out = [0] * (width + 1)
@@ -332,8 +332,7 @@ def _assemble(mp: ModelParams, terms, n: int, anchor_scaled: int | None = None) 
             continue
         for pos in range(off - lo, width + 1):
             out[pos] += m * eta[pos - (off - lo)]
-    base = Fraction(anchor_scaled, den) - Fraction(rs.rank, 24) + lo
-    return qseries(base, out)
+    return qseries(Fraction(24 * (anchor_scaled + lo * den) - rs.rank * den, 24 * den), out)
 
 
 def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
@@ -361,7 +360,9 @@ def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):
 
     The minimal exponent of the (alpha, lambda) orbit is at least
     (p|v| - |u|)^2 / 2p once p|v| >= |u|; a candidate is dropped exactly
-    when that bound exceeds the window top.  Comparisons stay on squares.
+    when that bound exceeds the window top.  Comparisons stay on squares.  A
+    kept alpha has p sqrt(det |v|^2) <= sqrt(u_det) + sqrt(max(top_det, 0)),
+    so the scan is det p^2 |v|^2 <= r^2, r the two roots each rounded up.
     """
     rs = mp.rs
     p = mp.p
@@ -372,10 +373,12 @@ def _alpha_candidates(mp: ModelParams, lam: LambdaParam, n: int):
     # 2 p det t_star, where t_star = anchor + n is the window top without the
     # eta offset
     top_det = anchor_scaled + 2 * p * det * n
-    two_p_t = max(Fraction(top_det, det), Fraction(0))
-    cap = (sqrt_upper(Fraction(u_det, det)) + sqrt_upper(two_p_t)) / p
+    r = 0
+    for x in (u_det, max(top_det, 0)):
+        s = isqrt(x)
+        r += s + (s * s < x)
     lam0 = lam.lambda0
-    for v, v_det in _boxes(rs.adj, floor(det * cap * cap), tuple(l0 + 1 for l0 in lam0)):
+    for v, v_det in _boxes(rs.adj, r * r // (p * p), tuple(l0 + 1 for l0 in lam0)):
         alpha = tuple(c - l0 - 1 for c, l0 in zip(v, lam0))
         if not in_root_lattice(rs, alpha):
             continue

@@ -164,6 +164,20 @@ MUTANTS = [
         "_brute_pairs: the alcove bound divided by the mark m instead of m^2, "
         "a larger ellipsoid",
     ),
+    Mutant(
+        "M16", "src/tripletw/_exact.py",
+        "lo = -((t - ai) // b)",
+        "lo = (ai - t) // b",
+        "lattice_points: a level's lower end rounded down instead of up, so a "
+        "level may open one step below its interval",
+    ),
+    Mutant(
+        "M17", "src/tripletw/qseries.py",
+        "r += s + (s * s < x)",
+        "r += s",
+        "_alpha_candidates: the integer radius without its round-up, a ball "
+        "that can miss a kept alpha",
+    ),
 ]
 
 

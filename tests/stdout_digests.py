@@ -13,7 +13,9 @@ seeds 1-10, `verify all` and `lambda-list --type D4 -p 6` in every format,
 `--order 3` for every lambda0 on A3 p=5, D4 p=7, D5 p=9 and E6 p=13, and
 the verify runner's other paths: suites with no case (A3 p=2), a Weyl cap
 skip with no case, Weyl cap skips across `verify all`, and a suite with no
-case on E6, which lists no W.
+case on E6, which lists no W.  Two E6 calls take the lattice enumerator
+through six levels: `char lattice --type E6 -p 13 --order 6` and `verify
+submodule_bound --type E6 -p 2 --order 3`.
 
 Stdlib only; the file name keeps pytest from collecting it.
 """
@@ -52,6 +54,8 @@ def argvs() -> list[list[str]]:
          "--output", "text"],
         ["verify", "all", "--type", "A2", "-p", "3", "--weyl-cap", "5", "--output", "csv"],
         ["verify", "exponent_identity", "--type", "E6", "-p", "2", "--order", "3"],
+        ["char", "lattice", "--type", "E6", "-p", "13", "--order", "6"],
+        ["verify", "submodule_bound", "--type", "E6", "-p", "2", "--order", "3"],
     ]
     return list(map(list, dict.fromkeys(map(tuple, calls))))
 

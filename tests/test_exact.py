@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -30,14 +30,16 @@ from tripletw.qseries import qseries
 from tripletw.rootsys import in_root_lattice
 
 # (name, integer Gram matrix, its inverse): the Cartan matrix and the
-# adjugate det C^-1, whose inverse is C / det
+# adjugate det C^-1, whose inverse is C / det.  D5 and E6 take the walk
+# through five and six levels.
 GRAMS = [
     g
-    for rs in map(build_root_system, ("A1", "A2", "A3", "D4"))
+    for rs in map(build_root_system, ("A1", "A2", "A3", "D4", "D5", "E6"))
     for g in ((f"{rs.type} cartan", rs.cartan, rs.inv_cartan),
               (f"{rs.type} adj", rs.adj,
                tuple(tuple(Fraction(x, rs.det) for x in row) for row in rs.cartan)))
 ]
+BRUTE_MAX = 20_000  # points in the brute box of a drawn region
 
 
 def form(gram, r, num, den):
@@ -45,24 +47,34 @@ def form(gram, r, num, den):
     return sum(y[i] * gram[i][j] * y[j] for i in range(len(y)) for j in range(len(y)))
 
 
-def brute(gram, num, den, bound, lower):
-    """Filter a box that contains the ellipsoid, as {r: form value}: for a
-    positive definite G, (r_i - c_i)^2 <= B (G^-1)_ii / den^2, and every
-    (G^-1)_ii here is at most 2."""
-    half = isqrt(max(2 * bound, 0) // (den * den)) + 1
-    ranges = [range(floor(Fraction(a, den)) - half, ceil(Fraction(a, den)) + half + 1)
-              for a in num]
+def box(inv, num, den, bound):
+    """Coordinate ranges of a box that contains the ellipsoid: for a positive
+    definite G, (r_i - c_i)^2 <= B (G^-1)_ii / den^2."""
+    out = []
+    for i, a in enumerate(num):
+        half = isqrt(max(floor(bound * inv[i][i]), 0) // (den * den)) + 1
+        out.append(range(floor(Fraction(a, den)) - half, ceil(Fraction(a, den)) + half + 1))
+    return out
+
+
+def brute(gram, inv, num, den, bound, lower):
+    """Filter the box around the ellipsoid, as {r: form value}."""
     out = {}
-    for r in product(*ranges):
+    for r in product(*box(inv, num, den, bound)):
         q = form(gram, r, num, den)
         if q <= bound and (lower is None or all(a >= b for a, b in zip(r, lower))):
             out[r] = q
     return out
 
 
+def ascending(points):
+    """The enumerator's order: the last coordinate outermost, each ascending."""
+    return sorted(points, key=lambda r: r[::-1])
+
+
 @st.composite
 def regions(draw):
-    name, gram, _ = draw(st.sampled_from(GRAMS))
+    name, gram, inv = draw(st.sampled_from(GRAMS))
     n = len(gram)
     den = draw(st.integers(1, 6))
     num = tuple(draw(st.integers(-3 * den, 3 * den)) for _ in range(n))
@@ -77,27 +89,54 @@ def regions(draw):
         # a bound attained exactly by a lattice point near the centre
         r0 = tuple(round(Fraction(a, den)) + draw(st.integers(-1, 1)) for a in num)
         bound = form(gram, r0, num, den)
+    while bound > 0 and prod(map(len, box(inv, num, den, bound))) > BRUTE_MAX:
+        bound //= 2
     lower = None
     if draw(st.booleans()):
         lower = tuple(floor(Fraction(a, den)) + draw(st.integers(-2, 1)) for a in num)
-    return name, gram, num, den, bound, lower
+    return name, gram, inv, num, den, bound, lower
 
 
 def test_inverse_gram_diagonals_fit_the_brute_box():
-    for name, _, inv in GRAMS:
-        assert all(inv[i][i] <= 2 for i in range(len(inv))), name
+    """The brute box is sized by the diagonal of each listed inverse, so each
+    must be the exact inverse of its Gram matrix."""
+    for name, gram, inv in GRAMS:
+        n = len(gram)
+        assert [[sum(gram[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)], name
 
 
 @settings(max_examples=100, deadline=None)
 @given(regions())
 def test_lattice_points_match_brute_box(region):
-    name, gram, num, den, bound, lower = region
+    name, gram, inv, num, den, bound, lower = region
     got = list(lattice_points(gram, num, den, bound, lower))
     points = [r for r, _ in got]
     assert len(points) == len(set(points)), f"{name}: a point was yielded twice"
-    assert dict(got) == brute(gram, num, den, bound, lower), name
+    want = brute(gram, inv, num, den, bound, lower)
+    assert dict(got) == want, name
+    assert points == ascending(want), name
     assert all(type(x) is int for r, q in got for x in (*r, q))
     assert got == list(lattice_points(gram, num, den, bound, lower))  # fixed order
+
+
+@pytest.mark.parametrize("name,gram,inv",
+                         [pytest.param(*g, id=g[0]) for g in GRAMS if g[0][:2] in ("D5", "E6")])
+def test_lattice_points_ascend_through_five_and_six_levels(name, gram, inv):
+    """On the deep Grams, the largest bound whose brute box stays under 10^5
+    points, around a centre off the lattice and with and without a lower
+    end: the same points and form values as the box, in the pinned order."""
+    n = len(gram)
+    num, den = tuple(range(1, n + 1)), 2
+    bound = 0
+    while prod(map(len, box(inv, num, den, bound + 1))) <= 100_000:
+        bound += 1
+    lower = tuple(num[i] // den - (i % 2) for i in range(n))
+    for low in (None, lower):
+        got = list(lattice_points(gram, num, den, bound, low))
+        want = brute(gram, inv, num, den, bound, low)
+        assert len(got) > n and dict(got) == want, (name, low)
+        assert [r for r, _ in got] == ascending(want), (name, low)
 
 
 def test_lattice_points_boundary_and_empty_cases():

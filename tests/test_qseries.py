@@ -41,6 +41,7 @@ from tripletw import (
     weyl_dim,
     weyl_enumerate,
 )
+import tripletw.qseries as qseries_module
 from tripletw.params import lambda_params, lambda_x, narrow
 from tripletw.qseries import QSeries, _assemble, _w_terms, colored_partitions, qseries
 
@@ -283,12 +284,15 @@ def test_lattice_char_vs_orthonormal_model_every_parameter(t, ps, n):
             assert (ch.base, ch.coeffs) == want, (p, lam)
 
 
-@pytest.mark.parametrize("t,p,cases", [
+LATTICE_FIXED_CASES = [
     ("A3", 4, [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (3, 0, 2)),
                ((0, 1, 0), (1, 2, 3)), ((0, 0, 1), (3, 3, 3))]),
     ("D4", 6, [((0, 0, 0, 0), (0, 0, 0, 0)), ((1, 0, 0, 0), (5, 0, 1, 2)),
                ((0, 0, 1, 0), (2, 4, 0, 5)), ((0, 0, 0, 1), (5, 5, 5, 5))]),
-])
+]
+
+
+@pytest.mark.parametrize("t,p,cases", LATTICE_FIXED_CASES)
 def test_lattice_char_vs_orthonormal_model_fixed_cases(t, p, cases):
     mp = build_model(build_root_system(t), p)
     for lam0, sp in cases:
@@ -488,6 +492,60 @@ def test_lattice_char_truncation_certificate(t, p, lam0, sp, n):
     assert d.denominator == 1 and d >= 0
     for j, c in enumerate(mc.coeffs[: ch.order + 1 - int(d)]):
         assert 0 <= c <= ch.coeffs[j + int(d)]
+
+
+def _alpha_region_cases():
+    """Every A1 parameter for p = 2..7, every A2 parameter for p = 3, 4, and
+    the fixed A3 and D4 parameters of the lattice oracle, as (mp, lam)."""
+    for t, ps in (("A1", range(2, 8)), ("A2", (3, 4))):
+        rs = build_root_system(t)
+        for p in ps:
+            mp = build_model(rs, p)
+            yield from ((mp, lam) for lam in lambda_params(mp))
+    for t, p, cases in LATTICE_FIXED_CASES:
+        mp = build_model(build_root_system(t), p)
+        yield from ((mp, LambdaParam(lam0, sp, p)) for lam0, sp in cases)
+
+
+def _widen_alpha_scan(monkeypatch, factor=4):
+    """Make _alpha_candidates scan `factor` times the bound it asks _boxes
+    for (plus `factor`, so that a bound of 0 widens too); returns the list
+    of the bounds asked."""
+    asked = []
+    boxes = qseries_module._boxes
+
+    def wide(gram, bound, lower):
+        asked.append(bound)
+        return boxes(gram, factor * (bound + 1), lower)
+
+    monkeypatch.setattr(qseries_module, "_boxes", wide)
+    return asked
+
+
+def test_widening_the_alpha_scan_changes_no_module_char(monkeypatch):
+    """The alpha region is a truncation certificate: four times its bound
+    changes no coefficient of module_char at n = 20."""
+    cases = list(_alpha_region_cases())
+    want = [module_char(mp, lam, 20) for mp, lam in cases]
+    asked = _widen_alpha_scan(monkeypatch)
+    assert [module_char(mp, lam, 20) for mp, lam in cases] == want
+    assert len(asked) == len(cases)
+
+
+def test_every_kept_alpha_lies_in_the_integer_radius(monkeypatch):
+    """Every alpha the drop test keeps from a scan four times wider has
+    det |alpha + lambda0 + rho|^2 <= r^2 // p^2, the bound the scan asks."""
+    asked = _widen_alpha_scan(monkeypatch)
+    kept = 0
+    for mp, lam in _alpha_region_cases():
+        rs = mp.rs
+        for alpha in qseries_module._alpha_candidates(mp, lam, 20):
+            v = tuple(a + l0 + 1 for a, l0 in zip(alpha, lam.lambda0))
+            v_det = sum(v[i] * rs.adj[i][j] * v[j]
+                        for i in range(rs.rank) for j in range(rs.rank))
+            assert v_det <= asked[-1], (str(rs.type), mp.p, lam, alpha)
+            kept += 1
+    assert kept > len(asked)
 
 
 # --- the direct route's orbit walk -------------------------------------------
