@@ -117,7 +117,6 @@ def test_lattice_points_match_brute_box(region):
     assert dict(got) == want, name
     assert points == ascending(want), name
     assert all(type(x) is int for r, q in got for x in (*r, q))
-    assert got == list(lattice_points(gram, num, den, bound, lower))  # fixed order
 
 
 @pytest.mark.parametrize("name,gram,inv",
