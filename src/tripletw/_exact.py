@@ -9,7 +9,9 @@ Fractions of denominator 1, and raises ValueError on anything else, 2.0
 included.  The inputs that may be rational take ints or Fractions and raise
 ValueError on a float form value (`rootsys.pairing`, `norm_sq`).  The one
 exact elimination is the LDL^T of `_ldl`: the lattice enumerator walks it, and
-`ldl_inverse` reads the Cartan inverse and determinant off it.
+`ldl_inverse` reads the Cartan inverse and determinant off it.  The `src_*`
+helpers write the source of the per-type integer kernels, and
+`compile_kernel` compiles it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def int_vec(x, rank: int) -> IntVec:
     return tuple(out)
 
 
-# dot and mat_vec are the package's shared kernels (pairings, Weyl actions,
-# the direct orbit exponent).  Each sum runs in C through map(mul, ...), so
+# dot and mat_vec are the package's shared kernels (pairings, Weyl
+# actions).  Each sum runs in C through map(mul, ...), so
 # the lengths are checked up front, since map stops silently at the shorter
 # input.
 
@@ -65,6 +67,50 @@ def mat_vec(m: IntMat, v):
 
 def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+# The per-type kernels (`RootSystem.direct_kernel` of the direct route,
+# `affine._route_kernel` of the affine route) are compiled from source
+# generated with these pieces: every sum is written out term by term for
+# the rank, with the integer entries of the form as constants.
+
+def src_names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def src_tup(items) -> str:
+    """A tuple display of the items, a target that unpacks into them."""
+    return "(" + ", ".join(items) + ",)"
+
+
+def src_matrix(n: int) -> tuple[list[list[str]], str]:
+    """(rows, display): the names w{i}_{j} of an n x n matrix's entries, row
+    by row, and the nested tuple display that unpacks its rows into them."""
+    rows = [[f"w{i}_{j}" for j in range(n)] for i in range(n)]
+    return rows, src_tup(src_tup(row) for row in rows)
+
+
+def src_lin(coeffs, xs) -> str:
+    """The sum of c * x written out; coeffs are names or ints, zero ints
+    dropped."""
+    return " + ".join(x if c == 1 else f"{c} * {x}"
+                      for c, x in zip(coeffs, xs) if c != 0) or "0"
+
+
+def src_form(gram: IntMat, xs) -> str:
+    """x . gram x for a symmetric gram, written out as the sum over i of
+    x_i (gram_ii x_i + sum over j > i of 2 gram_ij x_j)."""
+    return " + ".join(
+        f"{xs[i]} * ({src_lin([gram[i][i]] + [2 * c for c in gram[i][i + 1:]], xs[i:])})"
+        for i in range(len(xs)))
+
+
+def compile_kernel(lines: list[str], label: str):
+    """The function `kernel` defined by the source lines; label names the
+    source in tracebacks."""
+    namespace = {}
+    exec(compile("\n".join(lines), label, "exec"), namespace)
+    return namespace["kernel"]
 
 
 def sqrt_upper(x: Fraction) -> Fraction:

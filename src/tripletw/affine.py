@@ -15,7 +15,18 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple
 
-from ._exact import IntMat, IntVec, dot, int_vec
+from ._exact import (
+    IntMat,
+    IntVec,
+    compile_kernel,
+    dot,
+    int_vec,
+    src_form,
+    src_lin,
+    src_matrix,
+    src_names,
+    src_tup,
+)
 from .params import (
     LambdaParam,
     ModelParams,
@@ -247,48 +258,33 @@ def _route_kernel(ctx: WeylContext, rs: RootSystem) -> Callable:
     of adj, raising ValueError as `root_coords_int` does),
     n = m + p beta, x = w n, and the norm x . adj x, as the sum over i of
     x_i (adj_ii x_i + sum over j > i of 2 adj_ij x_j).  The source holds
-    only the rank and the integer entries of adj, det and `_q_rows`.
+    only the rank and the integer entries of adj, det and `_q_rows`; it is
+    written with the `_exact` source helpers that `RootSystem.direct_kernel`
+    also uses, and neither kernel calls the other.
     """
-    r = range(rs.rank)
-
-    def names(prefix):
-        return [f"{prefix}{i}" for i in r]
-
-    def tup(items):
-        return "(" + ", ".join(items) + ",)"
-
-    def lin(coeffs, xs):
-        # sum of c * x written out; coeffs are names or ints, zero ints dropped
-        return " + ".join(x if c == 1 else f"{c} * {x}"
-                          for c, x in zip(coeffs, xs) if c != 0) or "0"
-
-    rows = [[f"a{i}_{j}" for j in r] for i in r]
-    matrix = tup(tup(row) for row in rows)
-    g, b, n, x = names("g"), names("b"), names("n"), names("x")
-    adj = rs.adj
+    l = rs.rank
+    r = range(l)
+    rows, matrix = src_matrix(l)
+    t, v, m, g, b, n, x = (src_names(c, l) for c in "tvmgbnx")
     lines = [
         "def kernel(route, labels):",
-        f"    _, table, {tup(names('v'))}, {tup(names('m'))}, p, _ = route",
+        f"    _, table, {src_tup(v)}, {src_tup(m)}, p, _ = route",
         "    out = []",
         "    for i in labels:",
-        f"        {tup(names('t'))}, w_inv, w = table[i]",
+        f"        {src_tup(t)}, w_inv, w = table[i]",
     ]
     lines += [f"        g{i} = t{i} - v{i}" for i in r]
     lines.append(f"        {matrix} = w_inv")
-    lines += [f"        b{i} = {lin(rows[i], g)}" for i in r]
+    lines += [f"        b{i} = {src_lin(rows[i], g)}" for i in r]
     for row in _q_rows(rs):
-        lines.append(f"        if ({lin(row, b)}) % {rs.det}:")
-        lines.append(f"            raise ValueError(f'weight {{{tup(b)}}} "
+        lines.append(f"        if ({src_lin(row, b)}) % {rs.det}:")
+        lines.append(f"            raise ValueError(f'weight {{{src_tup(b)}}} "
                      "is not in the root lattice')")
     lines += [f"        n{i} = m{i} + p * b{i}" for i in r]
     lines.append(f"        {matrix} = w")
-    lines += [f"        x{i} = {lin(rows[i], n)}" for i in r]
-    norm = " + ".join(f"x{i} * ({lin([adj[i][i]] + [2 * c for c in adj[i][i + 1:]], x[i:])})"
-                      for i in r)
-    lines += [f"        out.append({norm})", "    return out"]
-    namespace = {}
-    exec(compile("\n".join(lines), f"<affine route kernel of {rs.type}>", "exec"), namespace)
-    got = ctx.kernel[0] = namespace["kernel"]
+    lines += [f"        x{i} = {src_lin(rows[i], n)}" for i in r]
+    lines += [f"        out.append({src_form(rs.adj, x)})", "    return out"]
+    got = ctx.kernel[0] = compile_kernel(lines, f"<affine route kernel of {rs.type}>")
     return got
 
 
@@ -306,18 +302,14 @@ def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     """Character exponent of one Weyl term, straight from the trace formula:
     (1/2)|sqrt(p) sigma(alpha + lambda0 + rho) - lambda_p - rho/sqrt(p)|^2,
     evaluated as |p sigma(v) - u|^2 / 2p with v = alpha + lambda0 + rho and
-    u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det:
-    l dot products for p sigma(v) - u = sigma(p v) - u and l + 1 for the
-    form."""
+    u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det.
+    The numerator is one call of the type's compiled `rs.direct_kernel`."""
     rs = mp.rs
     _check_p(mp, lam.p)
     l = rs.rank
     alpha = int_vec(alpha, l)
     rows = sigma.matrix
-    if len(rows) != l:
+    if len(rows) != l or len(lam.lambda0) != l or len(lam.sp) != l:
         raise ValueError("dimension mismatch")
     p = mp.p
-    pv = [p * (a + l0 + 1) for a, l0 in zip(alpha, lam.lambda0, strict=True)]
-    moved = [sum(map(mul, row, pv)) - s - 1 for row, s in zip(rows, lam.sp, strict=True)]
-    return Fraction(sum(map(mul, moved, [sum(map(mul, row, moved)) for row in rs.adj])),
-                    2 * p * rs.det)
+    return Fraction(rs.direct_kernel(rows, alpha, lam.lambda0, lam.sp, p), 2 * p * rs.det)

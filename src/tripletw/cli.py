@@ -73,6 +73,8 @@ def _dump(obj, ind: str) -> str:
         return _quote(obj)
     if t is int:
         return int.__repr__(obj)
+    if t is bool:
+        return "true" if obj else "false"
     if t is dict or t is list or t is tuple:
         if not obj:
             return "{}" if t is dict else "[]"

@@ -269,23 +269,32 @@ def minus_w0(rs: RootSystem, x) -> IntVec:
 
 def dual_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:
     """lambda' = -w0(lambda): both lambda0 and the digits get permuted by
-    the diagram involution."""
+    the diagram involution.  The digits are checked to lie in [0, p-1]."""
     _check_p(mp, lam.p)
     rs = mp.rs
-    lam0 = minus_w0(rs, lam.lambda0)
-    sp = minus_w0(rs, lam.sp)
-    if any(not 0 <= s <= mp.p - 1 for s in sp):
-        raise RuntimeError(f"-w0 sent the digits {lam.sp} to {sp}, out of range")
-    return LambdaParam(lambda0=lam0, sp=sp, p=mp.p)
+    return LambdaParam(lambda0=minus_w0(rs, lam.lambda0),
+                       sp=minus_w0(rs, _digits(mp, lam.sp)), p=mp.p)
 
 
 def dual_module_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:
     """Parameter of the contragredient module: the canonical representative
-    of w0 * lambda' modulo sqrt(p) Q."""
+    of w0 * lambda' modulo sqrt(p) Q, in closed form.
+
+    lambda' = -w0(lambda) has lambda0' = -w0(lambda0) and digits -w0(s);
+    since -w0 is an involution fixing rho, w0 acts on those digits by the
+    shifted action as w0(-w0(s) + rho) - rho = -s - 2 rho.  So w0 * lambda'
+    is -p lambda0' - s - 2 rho, whose digit i is p - 2 - s_i, or p - 1 when
+    s_i = p - 1, and whose lambda0-part is lambda0' + rho + [s_i = p - 1];
+    the parameter takes that part's Lambda0 representative.  The digits are
+    checked to lie in [0, p-1].
+    """
     _check_p(mp, lam.p)
-    lamd = dual_param(mp, lam)
-    moved = star_act(mp, longest_element(mp.rs), lambda_x(mp, lamd))
-    return canonical_lambda(mp, moved)
+    rs, p = mp.rs, mp.p
+    top = p - 1
+    sp = _digits(mp, lam.sp)
+    mu0 = [c + 1 + (s == top) for c, s in zip(minus_w0(rs, lam.lambda0), sp)]
+    return LambdaParam(lambda0=lambda0_rep(rs, mu0),
+                       sp=tuple([top if s == top else top - 1 - s for s in sp]), p=p)
 
 
 def delta_lambda(mp: ModelParams, lam: LambdaParam) -> Fraction:

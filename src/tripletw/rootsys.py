@@ -26,11 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, floor
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._exact import (
     IntMat,
     IntVec,
+    compile_kernel,
     dot,
     identity_matrix,
     int_vec,
@@ -38,6 +39,11 @@ from ._exact import (
     ldl_inverse,
     mat_vec,
     sqrt_upper,
+    src_form,
+    src_lin,
+    src_matrix,
+    src_names,
+    src_tup,
 )
 
 # The largest Weyl group `_enumerate` lists; set it per scope and reset the token.
@@ -139,6 +145,13 @@ class RootSystem:
             raise RuntimeError(f"the longest element of {self.type} has length "
                                f"{len(word)}, not {len(self.positive_roots)}")
         return WeylElement(word, weyl_matrix(self.cartan, word))
+
+    @cached_property
+    def direct_kernel(self) -> Callable:
+        """kernel(rows, alpha, lambda0, sp, p) of the direct orbit exponent,
+        compiled for this type on first use; see `_direct_kernel`.  It needs
+        no Weyl listing, so it is kept here and not behind the Weyl cap."""
+        return _direct_kernel(self)
 
     @cached_property
     def minus_w0_perm(self) -> IntVec:
@@ -272,6 +285,35 @@ def pairing(rs: RootSystem, mu, nu) -> Fraction:
 
 def norm_sq(rs: RootSystem, mu) -> Fraction:
     return pairing(rs, mu, mu)
+
+
+def _direct_kernel(rs: RootSystem) -> Callable:
+    """kernel(rows, alpha, lambda0, sp, p) -> det |p sigma(v) - u|^2 with
+    v = alpha + lambda0 + rho and u = s + rho, for the Weyl element sigma
+    whose matrix has the given rows, compiled from generated source.
+
+    It unpacks the rows, alpha, lambda0 and the digits s (so a vector or row
+    of the wrong length raises ValueError), forms pv = p v and
+    x = sigma(pv) - u, and returns the norm x . adj x, each sum written out
+    term by term for the rank.  The source holds only the rank and the
+    integer entries of adj.  It shares the `_exact` source helpers with the
+    affine route's kernel, and neither kernel calls the other.
+    """
+    l = rs.rank
+    r = range(l)
+    rows, matrix = src_matrix(l)
+    a, lam0, s, v, x = (src_names(c, l) for c in "alsvx")
+    lines = [
+        "def kernel(rows, alpha, lambda0, sp, p):",
+        f"    {src_tup(a)} = alpha",
+        f"    {src_tup(lam0)} = lambda0",
+        f"    {src_tup(s)} = sp",
+        f"    {matrix} = rows",
+    ]
+    lines += [f"    v{i} = p * (a{i} + l{i} + 1)" for i in r]
+    lines += [f"    x{i} = {src_lin(rows[i], v)} - (s{i} + 1)" for i in r]
+    lines.append(f"    return {src_form(rs.adj, x)}")
+    return compile_kernel(lines, f"<direct exponent kernel of {rs.type}>")
 
 
 def root_to_fund(rs: RootSystem, r):

@@ -51,18 +51,18 @@ MUTANTS = [
     Mutant(
         "M2", "src/tripletw/affine.py",
         '''    lines.append(f"        {matrix} = w_inv")
-    lines += [f"        b{i} = {lin(rows[i], g)}" for i in r]
+    lines += [f"        b{i} = {src_lin(rows[i], g)}" for i in r]
     for row in _q_rows(rs):
-        lines.append(f"        if ({lin(row, b)}) % {rs.det}:")
-        lines.append(f"            raise ValueError(f'weight {{{tup(b)}}} "
+        lines.append(f"        if ({src_lin(row, b)}) % {rs.det}:")
+        lines.append(f"            raise ValueError(f'weight {{{src_tup(b)}}} "
                      "is not in the root lattice')")
     lines += [f"        n{i} = m{i} + p * b{i}" for i in r]
     lines.append(f"        {matrix} = w")''',
         '''    lines.append(f"        {matrix} = w")
-    lines += [f"        b{i} = {lin(rows[i], g)}" for i in r]
+    lines += [f"        b{i} = {src_lin(rows[i], g)}" for i in r]
     for row in _q_rows(rs):
-        lines.append(f"        if ({lin(row, b)}) % {rs.det}:")
-        lines.append(f"            raise ValueError(f'weight {{{tup(b)}}} "
+        lines.append(f"        if ({src_lin(row, b)}) % {rs.det}:")
+        lines.append(f"            raise ValueError(f'weight {{{src_tup(b)}}} "
                      "is not in the root lattice')")
     lines += [f"        n{i} = m{i} + p * b{i}" for i in r]
     lines.append(f"        {matrix} = w_inv")''',
@@ -177,6 +177,26 @@ MUTANTS = [
         "r += s",
         "_alpha_candidates: the integer radius without its round-up, a ball "
         "that can miss a kept alpha",
+    ),
+    Mutant(
+        "M18", "src/tripletw/rootsys.py",
+        'f"    x{i} = {src_lin(rows[i], v)} - (s{i} + 1)"',
+        'f"    x{i} = {src_lin(rows[i], v)} - s{i}"',
+        "direct kernel: u = s instead of s + rho",
+    ),
+    Mutant(
+        "M19", "src/tripletw/_exact.py",
+        "[2 * c for c in gram[i][i + 1:]]",
+        "[c for c in gram[i][i + 1:]]",
+        "unrolled norm: the off-diagonal terms counted once.  Both kernels "
+        "share it, so the exponent identity still holds; the Fraction oracle "
+        "and the full affine action must see it",
+    ),
+    Mutant(
+        "M20", "src/tripletw/rootsys.py",
+        '{src_lin(rows[i], v)}',
+        '{src_lin([row[i] for row in rows], v)}',
+        "direct kernel: the rows of sigma read as its columns",
     ),
 ]
 

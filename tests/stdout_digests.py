@@ -15,7 +15,8 @@ the verify runner's other paths: suites with no case (A3 p=2), a Weyl cap
 skip with no case, Weyl cap skips across `verify all`, and a suite with no
 case on E6, which lists no W.  Two E6 calls take the lattice enumerator
 through six levels: `char lattice --type E6 -p 13 --order 6` and `verify
-submodule_bound --type E6 -p 2 --order 3`.
+submodule_bound --type E6 -p 2 --order 3`.  Two `verify exponent_identity`
+calls, on A4 p=5 and D4 p=6, run both orbit-exponent routes on every case.
 
 Stdlib only; the file name keeps pytest from collecting it.
 """
@@ -56,6 +57,8 @@ def argvs() -> list[list[str]]:
         ["verify", "exponent_identity", "--type", "E6", "-p", "2", "--order", "3"],
         ["char", "lattice", "--type", "E6", "-p", "13", "--order", "6"],
         ["verify", "submodule_bound", "--type", "E6", "-p", "2", "--order", "3"],
+        ["verify", "exponent_identity", "--type", "A4", "-p", "5", "--order", "3"],
+        ["verify", "exponent_identity", "--type", "D4", "-p", "6", "--order", "3"],
     ]
     return list(map(list, dict.fromkeys(map(tuple, calls))))
 

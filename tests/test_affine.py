@@ -1,9 +1,11 @@
 import ast
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,22 @@ from tripletw import (
     direct_exponent,
     lemma310_construct,
     lemma39_test,
+    longest_element,
     norm_sq,
     run_check,
     weyl_enumerate,
 )
 from tripletw._exact import dot
-from tripletw.affine import _chamber, _q_rows
+from tripletw.affine import _chamber, _q_rows, _route_kernel
 from tripletw.params import lambda0_rep, lambda0_set, lambda_params, lambda_x, narrow
-from tripletw.rootsys import _context, enum_dominant_in_Q, in_root_lattice
+from tripletw.rootsys import (
+    WeylElement,
+    _context,
+    act,
+    enum_dominant_in_Q,
+    in_root_lattice,
+    weyl_matrix,
+)
 from tripletw.qseries import _fock_scaled, w_char_affine
 
 
@@ -171,6 +181,68 @@ def test_exponent_identity_small_grid(a2):
                 assert affine_exponent(mp, sigma, alpha, lam) == direct_exponent(
                     mp, sigma, alpha, lam
                 )
+
+
+def _e6_sample(rs):
+    # 200 fixed words of length 0..36 and w0, with no listing of W(E6)
+    rng = random.Random(6)
+    words = [tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 36))) for _ in range(200)]
+    return [WeylElement(w, weyl_matrix(rs.cartan, w)) for w in words] + [longest_element(rs)]
+
+
+@pytest.mark.parametrize("t,p", [("A1", 3), ("A2", 4), ("A3", 5), ("A4", 5), ("D4", 6),
+                                 ("D5", 8), ("E6", 13)])
+def test_direct_exponent_matches_the_fraction_norm(t, p):
+    # the oracle shares no source helper with either kernel: the Weyl action
+    # and the form go through rootsys' act and norm_sq, in Fractions
+    rs = build_root_system(t)
+    mp = build_model(rs, p)
+    l = rs.rank
+    elems = _e6_sample(rs) if t == "E6" else weyl_enumerate(rs)
+    wide = (p - 1,) * l
+    mixed = tuple(i % p for i in range(l))
+    lams = [LambdaParam(lam0, sp, p) for lam0 in lambda0_set(rs)
+            for sp in ((0,) * l, mixed, wide)]
+    assert narrow(mp, (0,) * l) and (l == 1 or not narrow(mp, wide))  # A1 has no wide lambda
+    for lam in lams:
+        u = tuple(s + 1 for s in lam.sp)
+        for alpha in ((0,) * l, tuple(rs.theta)):
+            v = tuple(a + c + 1 for a, c in zip(alpha, lam.lambda0))
+            for sigma in elems:
+                x = tuple(p * c - d for c, d in zip(act(sigma, v), u))
+                assert direct_exponent(mp, sigma, alpha, lam) == norm_sq(rs, x) / (2 * p)
+
+
+def test_direct_kernel_is_kept_per_type_outside_the_weyl_cap():
+    rs = build_root_system("E6")
+    mp = build_model(rs, 13)
+    lam = LambdaParam((0,) * 6, (1, 0, 2, 0, 0, 3), 13)
+    w0 = longest_element(rs)
+    token = WEYL_CAP.set(1)
+    try:
+        got = direct_exponent(mp, w0, (0,) * 6, lam)
+    finally:
+        WEYL_CAP.reset(token)
+    x = tuple(-13 - s - 1 for s in lam.sp)  # v = rho and w0 rho = -rho
+    assert got == norm_sq(rs, x) / 26
+    assert rs.direct_kernel is rs.direct_kernel
+    # a row of the wrong length raises, where a map over it would cut it short
+    bad = WeylElement((), ((1, 0, 0, 0, 0, 0),) * 5 + ((1, 0, 0, 0, 0),))
+    with pytest.raises(ValueError):
+        direct_exponent(mp, bad, (0,) * 6, lam)
+
+
+@pytest.mark.parametrize("t", ["A1", "A3", "D4", "D5", "E6", "E8"])
+def test_kernels_read_no_global_name(t):
+    # each kernel is closed over its arguments: the direct kernel names no
+    # global at all, and the route kernel only its out list's append and the
+    # root-lattice error, so neither calls the other or any package function
+    rs = build_root_system(t)
+    assert rs.direct_kernel.__code__.co_names == ()
+    ctx = SimpleNamespace(kernel=[None])  # the kernel's slot alone: W is not listed
+    kernel = _route_kernel(ctx, rs)
+    assert ctx.kernel == [kernel]
+    assert set(kernel.__code__.co_names) <= {"append", "ValueError"}
 
 
 def test_affine_exponent_requires_narrow(a2):

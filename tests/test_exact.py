@@ -13,6 +13,8 @@ from tripletw import (
     build_model,
     build_root_system,
     direct_exponent,
+    dual_module_param,
+    dual_param,
     epsilon,
     lemma39_test,
     lemma310_construct,
@@ -257,6 +259,8 @@ GATED = {
     "lemma39_test beta": (lambda b: lemma39_test(_MP, _S1, b, (1, 1), _LAM), (1, 2)),
     "lemma310_construct": (lambda a: lemma310_construct(_MP, a, (0, 0)), (1, 1)),
     "narrow": (lambda s: narrow(_MP, s), (2, 0)),
+    "dual_param": (lambda s: dual_param(_MP, LambdaParam((1, 0), s, 3)), (2, 0)),
+    "dual_module_param": (lambda s: dual_module_param(_MP, LambdaParam((1, 0), s, 3)), (2, 0)),
     "epsilon": (lambda s: epsilon(_MP, s, _S1), (1, 0)),
     "lemma216_cond1": (lambda w: lemma216_cond1(_MP, (0, 0), w), (1, 2, 1)),
     "minus_w0": (lambda x: minus_w0(_A2, x), (2, 1)),
@@ -278,3 +282,13 @@ def test_gate_rejects_floats_and_takes_integral_fractions(name):
         with pytest.raises(ValueError, match="non-integral coordinate|neither an int"):
             call(bad)
     assert call(tuple(map(Fraction, v))) == call(v)
+
+
+@pytest.mark.parametrize("name", ["narrow", "dual_param", "dual_module_param"])
+def test_digit_gates_reject_out_of_range_digits(name):
+    # a caller's digits outside [0, p-1] are a ValueError, never the
+    # RuntimeError of an internal fault
+    call, _ = GATED[name]
+    for bad in ((5, 0), (-1, 0), (0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            call(bad)

@@ -309,6 +309,17 @@ def test_dual_module_param_of_vacuum(a1, a2):
     assert dual_module_param(mp, zero) == LambdaParam((0, 0), (1, 1), 3)
 
 
+@pytest.mark.parametrize("t,p", [("A1", 2), ("A1", 5), ("A2", 3), ("A2", 4), ("A3", 3),
+                                 ("A4", 2), ("D4", 3), ("D5", 2), ("E6", 2)])
+def test_dual_module_param_is_the_star_act_definition(t, p):
+    rs = build_root_system(t)
+    mp = build_model(rs, p)
+    w0 = longest_element(rs)
+    for lam in lambda_params(mp):
+        moved = star_act(mp, w0, lambda_x(mp, dual_param(mp, lam)))
+        assert dual_module_param(mp, lam) == canonical_lambda(mp, moved)
+
+
 def test_delta_values_a1_p2(a1):
     mp = build_model(a1, 2)
     vals = {
