@@ -36,20 +36,14 @@ from .params import (
     lambda_params,
     narrow,
     narrow_margin,
-    star_act,
 )
 from .qseries import (
     IncompatibleBases,
     OrderUnderflow,
     QSeries,
-    eta_inv_pow,
-    fock_char,
     lattice_char,
     module_char,
-    qs_add,
     qs_eq,
-    qs_mul,
-    qs_scale,
     to_json_dict,
     w_char,
     w_char_affine,
@@ -107,8 +101,6 @@ __all__ = [
     "dual_param",
     "enum_dominant_in_Q",
     "epsilon",
-    "eta_inv_pow",
-    "fock_char",
     "lambda0_set",
     "lambda_params",
     "lattice_char",
@@ -120,13 +112,9 @@ __all__ = [
     "narrow_margin",
     "norm_sq",
     "pairing",
-    "qs_add",
     "qs_eq",
-    "qs_mul",
-    "qs_scale",
     "run_all",
     "run_check",
-    "star_act",
     "to_json_dict",
     "w_char",
     "w_char_affine",

@@ -30,7 +30,7 @@ from ._exact import (
 from .params import (
     LambdaParam,
     ModelParams,
-    _check_p,
+    _check_param,
     lambda0_rep,
     require_narrow,
 )
@@ -58,7 +58,7 @@ def lemma39_test(mp: ModelParams, sigma: WeylElement, beta, alpha,
     so every comparison is between plain integers.
     """
     rs = mp.rs
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     p = mp.p
     beta_f = root_to_fund(rs, int_vec(beta, rs.rank))
     alpha = int_vec(alpha, rs.rank)
@@ -184,26 +184,23 @@ def _affine_route(mp: ModelParams, alpha, lam: LambdaParam) -> tuple[WeylContext
     acting on mu_lambda + rho at level k + h = p, w(mu_bar + rho + p beta).
     The delta coefficient never enters the exponent.
 
-    Every call checks the Weyl cap, gates alpha, lambda0 and the digits to
-    int tuples, and checks p.  The route is then kept in ctx.route under
+    Every call checks lam against the model, checks the Weyl cap and gates
+    alpha to an int tuple.  The route is then kept in ctx.route under
     (mp, alpha, lambda0, sp), compared by value (mp fixes p), so a repeated
     (alpha, lambda) reuses it; a new one is checked for narrowness first.
     """
     rs = mp.rs
-    l = rs.rank
-    sp = int_vec(lam.sp, l)
+    _check_param(mp, lam)
     try:
         ctx = _context(rs)
     except CapExceeded:
-        require_narrow(mp, sp)  # a wide lambda is reported before the cap
+        require_narrow(mp, lam.sp)  # a wide lambda is reported before the cap
         raise
-    alpha = int_vec(alpha, l)
-    lambda0 = int_vec(lam.lambda0, l)
-    _check_p(mp, lam.p)
-    key = (mp, alpha, lambda0, sp)
+    alpha = int_vec(alpha, rs.rank)
+    key = (mp, alpha, lam.lambda0, lam.sp)
     got = ctx.route[0]
     if got[0] != key:
-        got = ctx.route[0] = (key, _build_route(mp, ctx, alpha, lambda0, sp))
+        got = ctx.route[0] = (key, _build_route(mp, ctx, alpha, lam.lambda0, lam.sp))
     return ctx, got[1]
 
 
@@ -305,11 +302,8 @@ def direct_exponent(mp: ModelParams, sigma: WeylElement, alpha,
     u = s + rho, in one Fraction of det |p sigma(v) - u|^2 over 2 p det.
     The numerator is one call of the type's compiled `rs.direct_kernel`."""
     rs = mp.rs
-    _check_p(mp, lam.p)
-    l = rs.rank
-    alpha = int_vec(alpha, l)
-    rows = sigma.matrix
-    if len(rows) != l or len(lam.lambda0) != l or len(lam.sp) != l:
-        raise ValueError("dimension mismatch")
+    _check_param(mp, lam)
+    alpha = int_vec(alpha, rs.rank)
     p = mp.p
-    return Fraction(rs.direct_kernel(rows, alpha, lam.lambda0, lam.sp, p), 2 * p * rs.det)
+    return Fraction(rs.direct_kernel(sigma.matrix, alpha, lam.lambda0, lam.sp, p),
+                    2 * p * rs.det)

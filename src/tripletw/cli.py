@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from .params import (
     LambdaParam,
     PreconditionError,
+    _check_param,
     build_model,
     check_lambda_cap,
     delta_lambda,
@@ -242,15 +243,13 @@ def cmd_char(args) -> int:
     alpha = zero if args.alpha is None else _parse_vec(args.alpha, rank, "--alpha")
     lam0 = zero if args.lambda0 is None else _parse_vec(args.lambda0, rank, "--lambda0")
     sp = zero if args.sp is None else _parse_vec(args.sp, rank, "--sp")
-    if lam0 not in lambda0_set(rs):
-        raise _ArgError(
-            f"--lambda0 {lam0} is not one of {list(lambda0_set(rs))}"
-        )
-    if any(s < 0 or s >= mp.p for s in sp):
-        raise _ArgError(f"--sp digits must lie in 0..{mp.p - 1}, got {sp}")
+    try:
+        lam = LambdaParam(lambda0=lam0, sp=sp, p=mp.p)
+        _check_param(mp, lam)
+    except ValueError as exc:
+        raise _ArgError(str(exc)) from None
     if args.kind in ("module", "lattice") and alpha != zero:
         raise _ArgError(f"--alpha must be zero for kind {args.kind!r}")
-    lam = LambdaParam(lambda0=lam0, sp=sp, p=mp.p)
     if args.kind == "w":
         ch = w_char(mp, alpha, lam, args.order)
     elif args.kind == "w-affine":

@@ -61,9 +61,27 @@ class ScaledWeight:
 
 @dataclass(frozen=True)
 class LambdaParam:
+    """lambda = -sqrt(p) lambda0 + lambda_p.  The fields are checked here:
+    both vectors pass `int_vec` and are stored as int tuples of one length,
+    p is an int >= 2 and every digit lies in [0, p-1]; anything else raises
+    ValueError.  That lambda0 is a class representative of the model's type
+    is checked against the model, by `_check_param`."""
     lambda0: IntVec   # fundamental coordinates of a member of Lambda0
     sp: IntVec        # digits of lambda_p, each in [0, p-1]
     p: int
+
+    def __post_init__(self):
+        lambda0 = int_vec(self.lambda0, len(self.lambda0))
+        sp = int_vec(self.sp, len(lambda0))
+        p = self.p
+        if not isinstance(p, int) or p < 2:
+            raise ValueError(f"p must be an integer >= 2, got {p!r}")
+        for s in sp:
+            if not 0 <= s < p:
+                raise ValueError(f"digits {sp} out of range for p={p}")
+        if lambda0 is not self.lambda0 or sp is not self.sp:  # not int tuples yet
+            object.__setattr__(self, "lambda0", lambda0)
+            object.__setattr__(self, "sp", sp)
 
 
 def build_model(rs: RootSystem, p: int) -> ModelParams:
@@ -95,20 +113,21 @@ def _check_p(mp: ModelParams, other_p: int):
         raise ValueError(f"mixed p: model has p={mp.p}, value has p={other_p}")
 
 
-def lambda0_set(rs: RootSystem) -> tuple[IntVec, ...]:
-    """Representatives of P/Q: zero, then the minuscule fundamental weights.
+def _check_param(mp: ModelParams, lam: LambdaParam):
+    """The model's half of the parameter check, run first by every public
+    function that takes a LambdaParam: lam has the model's p, and its lambda0
+    is one of the type's class representatives, which also fixes the rank.
+    Raises ValueError otherwise."""
+    if lam.p != mp.p:
+        raise ValueError(f"mixed p: model has p={mp.p}, value has p={lam.p}")
+    if lam.lambda0 not in mp.rs.lambda0_reps:
+        raise ValueError(f"lambda0 {lam.lambda0} is not one of {list(mp.rs.lambda0_reps)}")
 
-    omega_i is minuscule exactly when theta has mark 1 at i; every positive
-    root is at most theta coefficientwise, so (g, omega) is 0 or 1 for each
-    positive root g and each weight listed.
-    """
-    l = rs.rank
-    out = [(0,) * l]
-    out += [tuple(1 if j == i else 0 for j in range(l))
-            for i, mark in enumerate(rs.theta_root) if mark == 1]
-    if len(out) != rs.det:
-        raise RuntimeError(f"{out} are not |P/Q| = {rs.det} minuscule-or-zero weights")
-    return tuple(out)
+
+def lambda0_set(rs: RootSystem) -> tuple[IntVec, ...]:
+    """Representatives of P/Q, zero first: the type's cached
+    `RootSystem.lambda0_reps`."""
+    return rs.lambda0_reps
 
 
 _CLASS_CACHE: dict = {}
@@ -136,14 +155,6 @@ def decompose(mp: ModelParams, mu: ScaledWeight) -> tuple[IntVec, IntVec]:
     sp = tuple(c % p for c in mu.x)
     mu0 = tuple((s - c) // p for s, c in zip(sp, mu.x))
     return mu0, sp
-
-
-def star_act(mp: ModelParams, w: WeylElement, mu: ScaledWeight) -> ScaledWeight:
-    """The twisted action: sigma * mu = -sqrt(p) mu0 + shifted action on mu_p."""
-    _check_p(mp, mu.p)
-    mu0, sp = decompose(mp, mu)
-    moved = circ_act(w, sp)
-    return ScaledWeight(x=tuple(-mp.p * a + b for a, b in zip(mu0, moved)), p=mp.p)
 
 
 def epsilon(mp: ModelParams, sp, w: WeylElement) -> IntVec:
@@ -246,7 +257,7 @@ def lambda_params(mp: ModelParams) -> tuple[LambdaParam, ...]:
 
 def lambda_x(mp: ModelParams, lam: LambdaParam) -> ScaledWeight:
     """The integer vector sqrt(p) lambda = -p lambda0 + digits."""
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     return ScaledWeight(
         x=tuple(-mp.p * a + s for a, s in zip(lam.lambda0, lam.sp)), p=mp.p
     )
@@ -269,11 +280,11 @@ def minus_w0(rs: RootSystem, x) -> IntVec:
 
 def dual_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:
     """lambda' = -w0(lambda): both lambda0 and the digits get permuted by
-    the diagram involution.  The digits are checked to lie in [0, p-1]."""
-    _check_p(mp, lam.p)
+    the diagram involution."""
+    _check_param(mp, lam)
     rs = mp.rs
     return LambdaParam(lambda0=minus_w0(rs, lam.lambda0),
-                       sp=minus_w0(rs, _digits(mp, lam.sp)), p=mp.p)
+                       sp=minus_w0(rs, lam.sp), p=mp.p)
 
 
 def dual_module_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:
@@ -285,13 +296,12 @@ def dual_module_param(mp: ModelParams, lam: LambdaParam) -> LambdaParam:
     shifted action as w0(-w0(s) + rho) - rho = -s - 2 rho.  So w0 * lambda'
     is -p lambda0' - s - 2 rho, whose digit i is p - 2 - s_i, or p - 1 when
     s_i = p - 1, and whose lambda0-part is lambda0' + rho + [s_i = p - 1];
-    the parameter takes that part's Lambda0 representative.  The digits are
-    checked to lie in [0, p-1].
+    the parameter takes that part's Lambda0 representative.
     """
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     rs, p = mp.rs, mp.p
     top = p - 1
-    sp = _digits(mp, lam.sp)
+    sp = lam.sp
     mu0 = [c + 1 + (s == top) for c, s in zip(minus_w0(rs, lam.lambda0), sp)]
     return LambdaParam(lambda0=lambda0_rep(rs, mu0),
                        sp=tuple([top if s == top else top - 1 - s for s in sp]), p=p)

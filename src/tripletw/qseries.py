@@ -3,11 +3,12 @@
 A QSeries holds integer coefficients on the grid base, base+1, ..., base+order
 and is exact on that whole window.  Every character in the package lives on a
 single such coset because conformal weights within one module differ by
-integers; adding series from different cosets is rejected rather than merged.
+integers; comparing series from different cosets is rejected.
 
-Character families: Fock modules, the signed Weyl sum over one parameter
-(direct and affine-orbit forms), the full module decomposition weighted by
-classical dimensions, and lattice-module characters.  The infinite sums are
+Character families: the signed Weyl sum over one parameter (direct and
+affine-orbit forms), the full module decomposition weighted by classical
+dimensions, and lattice-module characters, sums of Fock characters.  Each is
+assembled as signed eta-quotient monomials by `_assemble`.  The infinite sums are
 truncated by certified bounds: a term is dropped only when the reverse
 triangle inequality proves its minimal exponent exceeds the requested window,
 with all square-root comparisons done on squares.  A Weyl sum is walked over
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt
+from math import isqrt
 
 from ._exact import IntVec, dot, int_vec, lattice_points, mat_vec
 from .affine import _affine_terms
@@ -28,8 +29,7 @@ from .params import (
     LambdaParam,
     ModelParams,
     PreconditionError,
-    ScaledWeight,
-    _check_p,
+    _check_param,
     lambda_x,
 )
 from .rootsys import (
@@ -103,66 +103,6 @@ def _aligned(a: QSeries, b: QSeries) -> bool:
     return (a.base - b.base).denominator == 1
 
 
-def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    """Exact sum on the intersection of the reliable windows."""
-    if qs_is_zero(a) and not _aligned(a, b):
-        a, b = b, a
-    if qs_is_zero(b) and not _aligned(a, b):
-        # the zero operand only narrows the window
-        limit = min(qs_top(a), qs_top(b))
-        n_max = floor(limit - a.base)
-        if n_max < 0:
-            raise OrderUnderflow(
-                f"window of the zero operand (top {limit}) ends below base {a.base}",
-                required=ceil(a.base - b.base),
-            )
-        return qseries(a.base, a.coeffs[: n_max + 1])
-    if not _aligned(a, b):
-        raise IncompatibleBases(
-            f"bases {a.base} and {b.base} differ by a non-integer"
-        )
-    bmin = min(a.base, b.base)
-    top = min(qs_top(a), qs_top(b))
-    n_max = top - bmin
-    if n_max < 0:
-        short = a if qs_top(a) <= qs_top(b) else b
-        raise OrderUnderflow(
-            f"combined base {bmin} exceeds common reliable top {top}",
-            required=int(bmin - short.base),
-        )
-    n_max = int(n_max)
-    da = int(a.base - bmin)
-    db = int(b.base - bmin)
-    out = [
-        (_coeff_at(a, n - da) if n >= da else 0) + (_coeff_at(b, n - db) if n >= db else 0)
-        for n in range(n_max + 1)
-    ]
-    return qseries(bmin, out)
-
-
-def qs_scale(a: QSeries, m: int) -> QSeries:
-    if not isinstance(m, int):
-        raise ValueError("scale factor must be an integer")
-    return qseries(a.base, tuple(m * c for c in a.coeffs))
-
-
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Exact product; the reliable order is the smaller of the two."""
-    order = min(a.order, b.order)
-    base = a.base + b.base
-    if qs_is_zero(a) or qs_is_zero(b):
-        return QSeries(base=base, coeffs=(0,) * (order + 1), order=order)
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a.coeffs[: order + 1]):
-        if ca == 0:
-            continue
-        for j in range(order + 1 - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] += ca * cb
-    return qseries(base, out)
-
-
 def qs_eq(a: QSeries, b: QSeries, order: int) -> bool:
     """Exact termwise comparison through min(base) + order."""
     za, zb = qs_is_zero(a), qs_is_zero(b)
@@ -210,11 +150,6 @@ def colored_partitions(colors: int, n: int) -> tuple[int, ...]:
     return tuple(arr)
 
 
-def eta_inv_pow(l: int, n: int) -> QSeries:
-    """eta(q)^(-l) = q^(-l/24) * sum of l-colored partition numbers."""
-    return QSeries(base=Fraction(-l, 24), coeffs=colored_partitions(l, n), order=n)
-
-
 # --- characters ------------------------------------------------------------
 
 def _scaled_norm(rs, x) -> int:
@@ -231,16 +166,6 @@ def _fock_scaled(mp: ModelParams, x: IntVec) -> int:
     """2 p det times the leading Fock exponent |x - (p-1) rho|^2 / 2p."""
     shifted = tuple(c - (mp.p - 1) for c in x)
     return _scaled_norm(mp.rs, shifted)
-
-
-def fock_char(mp: ModelParams, mu: ScaledWeight, n: int) -> QSeries:
-    """Character of the Fock module of mu, exact through its base + n."""
-    _check_n(n)
-    _check_p(mp, mu.p)
-    rs = mp.rs
-    den = 2 * mp.p * rs.det
-    base = Fraction(_fock_scaled(mp, mu.x), den) - Fraction(rs.rank, 24)
-    return QSeries(base=base, coeffs=colored_partitions(rs.rank, n), order=n)
 
 
 def _require_alpha(rs, alpha) -> IntVec:
@@ -340,7 +265,7 @@ def w_char(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     sum over sigma of (-1)^l(sigma) q^(|p sigma(v) - u|^2 / 2p) over eta^l,
     with v = alpha + lambda0 + rho and u = s + rho."""
     _check_n(n)
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     rs = mp.rs
     alpha = _require_alpha(rs, alpha)
     check_weyl_cap(rs)
@@ -351,7 +276,7 @@ def w_char_affine(mp: ModelParams, alpha, lam: LambdaParam, n: int) -> QSeries:
     """The same character assembled from affine-orbit exponents; defined for
     narrow lambda and equal to w_char term by term."""
     _check_n(n)
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     return _assemble(mp, _affine_terms(mp, _require_alpha(mp.rs, alpha), lam), n)
 
 
@@ -400,7 +325,7 @@ def module_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     alpha in Q of dim L(alpha + lambda0) times the (alpha, lambda) Weyl sum,
     truncated by the certified exponent bound."""
     _check_n(n)
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     rs = mp.rs
     check_weyl_cap(rs)
     anchor_scaled = _fock_scaled(mp, lambda_x(mp, lam).x)
@@ -418,7 +343,7 @@ def lattice_char(mp: ModelParams, lam: LambdaParam, n: int) -> QSeries:
     summed over exactly those sqrt(p) Q translates whose leading exponent
     lies in the window."""
     _check_n(n)
-    _check_p(mp, lam.p)
+    _check_param(mp, lam)
     rs = mp.rs
     p = mp.p
     det = rs.det

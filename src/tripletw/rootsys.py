@@ -147,6 +147,23 @@ class RootSystem:
         return WeylElement(word, weyl_matrix(self.cartan, word))
 
     @cached_property
+    def lambda0_reps(self) -> tuple[IntVec, ...]:
+        """Representatives of P/Q: zero, then the minuscule fundamental
+        weights.
+
+        omega_i is minuscule exactly when theta has mark 1 at i; every
+        positive root is at most theta coefficientwise, so (g, omega) is 0 or
+        1 for each positive root g and each weight listed.
+        """
+        l = self.rank
+        out = [(0,) * l]
+        out += [tuple(1 if j == i else 0 for j in range(l))
+                for i, mark in enumerate(self.theta_root) if mark == 1]
+        if len(out) != self.det:
+            raise RuntimeError(f"{out} are not |P/Q| = {self.det} minuscule-or-zero weights")
+        return tuple(out)
+
+    @cached_property
     def direct_kernel(self) -> Callable:
         """kernel(rows, alpha, lambda0, sp, p) of the direct orbit exponent,
         compiled for this type on first use; see `_direct_kernel`.  It needs

@@ -1,5 +1,7 @@
 """An independent reference for the affine route: y_sigma in W x Q acting on
-the chamber weight mu_lambda, with the level and delta bookkeeping.
+the chamber weight mu_lambda, with the level and delta bookkeeping; and the
+twisted action `star_act`, the definition that `epsilon` and
+`dual_module_param` are tested against.
 
 It reads only the words and matrices of `weyl_enumerate` and the Cartan
 data.  A product is a matrix product and an inverse the matrix of the
@@ -15,7 +17,7 @@ from functools import cache
 from operator import mul
 from typing import NamedTuple
 
-from tripletw import build_root_system, weyl_enumerate
+from tripletw import ScaledWeight, build_root_system, weyl_enumerate
 
 
 class AffineWeight(NamedTuple):
@@ -165,3 +167,14 @@ def aff_circ(mp, y, mu):
     out = aff_act(mp.rs, y, AffineWeight(tuple(c + 1 for c in mu.classical),
                                          mu.level + h, mu.delta_coeff))
     return AffineWeight(tuple(c - 1 for c in out.classical), out.level - h, out.delta_coeff)
+
+
+def star_act(mp, w, mu):
+    """The twisted action sigma * mu = -sqrt(p) mu0 + sigma circ mu_p on
+    mu = x / sqrt(p), split as x = -p mu0 + s with the digits s in [0, p-1];
+    the shifted action is sigma circ s = sigma(s + rho) - rho."""
+    p = mp.p
+    s = [c % p for c in mu.x]
+    mu0 = [(d - c) // p for d, c in zip(s, mu.x)]
+    moved = mat_vec(w.matrix, [d + 1 for d in s])
+    return ScaledWeight(tuple(-p * a + b - 1 for a, b in zip(mu0, moved)), p)

@@ -8,17 +8,21 @@ pyproject.toml and BENCHMARK.json, which tests/test_bench_contract.py
 reads) is copied to a temporary directory, the edit is made in the copy
 (the old text must occur exactly once), and pytest runs there in stages:
 first the fast subset below, then, only for a mutant that survived it, full
-tier-1.  With PYTEST_ARGS pytest runs once, with those arguments.  A mutant
-is killed when pytest fails, and the report names the stage that killed
-it; it survived when every stage passes, or is equivalent when it passes
-and is marked so, with the reason in its note.  The last line of pytest's
-report is printed with it.  The working tree is never edited, and
-`tests/test_mutants.py` (left out of the copy) checks that every old text
-is found exactly once.  Stdlib only; the exit status is 1 if a mutant
+tier-1.  With PYTEST_ARGS pytest runs once, with those arguments.  Every
+pytest child runs with a fixed hypothesis seed, so a mutant meets the same
+draws on every run, and with its address space bounded by MEMORY_LIMIT
+(RLIMIT_AS, set in the child alone).  A mutant is killed when pytest fails,
+a run that reached the memory bound included, and the report names the
+stage that killed it; it survived when every stage passes, or is
+equivalent when it passes and is marked so, with the reason in its note.
+The last line of pytest's report is printed with it.  The working tree is
+never edited, and `tests/test_mutants.py` (left out of the copy) checks
+that every old text is found exactly once.  Stdlib only; the exit status is 1 if a mutant
 survived and 2 if a mutant's old text is not found exactly once.
 """
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +34,14 @@ ROOT = Path(__file__).resolve().parent.parent
 FAST = ["tests/test_affine.py", "tests/test_qseries.py", "tests/test_exact.py",
         "tests/test_params.py"]
 STAGES = [("fast", FAST), ("tier-1", ["--continue-on-collection-errors"])]
+# Unmutated, tier-1 runs within 1 GiB of address space; a mutant that makes
+# a walk blow up fails with MemoryError here instead of filling the host.
+MEMORY_LIMIT = 2 << 30
+HYPOTHESIS_SEED = "0"
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 class Mutant(NamedTuple):
@@ -198,6 +210,37 @@ MUTANTS = [
         '{src_lin([row[i] for row in rows], v)}',
         "direct kernel: the rows of sigma read as its columns",
     ),
+    Mutant(
+        "M21", "src/tripletw/params.py",
+        """        for s in sp:
+            if not 0 <= s < p:
+                raise ValueError(f"digits {sp} out of range for p={p}")
+""",
+        "",
+        "LambdaParam: the digit-range check dropped, so a digit outside "
+        "[0, p-1] reaches the consumers",
+    ),
+    Mutant(
+        "M22", "src/tripletw/params.py",
+        """    if lam.lambda0 not in mp.rs.lambda0_reps:
+        raise ValueError(f"lambda0 {lam.lambda0} is not one of {list(mp.rs.lambda0_reps)}")
+""",
+        "",
+        "_check_param: the class test dropped, so a lambda0 that is no class "
+        "representative, or of another rank, passes",
+    ),
+    Mutant(
+        "M23", "src/tripletw/affine.py",
+        """    _check_param(mp, lam)
+    alpha = int_vec(alpha, rs.rank)
+    p = mp.p""",
+        """    from .params import _check_p
+    _check_p(mp, lam.p)
+    alpha = int_vec(alpha, rs.rank)
+    p = mp.p""",
+        "direct_exponent: back to checking p alone, so a lambda0 that is no "
+        "class representative gets an exponent",
+    ),
 ]
 
 
@@ -223,10 +266,14 @@ def run(mutant: Mutant, stages: list) -> tuple[str, str]:
         for stage, pytest_args in stages:
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 *pytest_args],
-                cwd=tree, env=env, capture_output=True, text=True)
+                 f"--hypothesis-seed={HYPOTHESIS_SEED}", *pytest_args],
+                cwd=tree, env=env, capture_output=True, text=True,
+                preexec_fn=_limit_memory)
             lines = proc.stdout.strip().splitlines()
-            summary = f"{stage}: {lines[-1] if lines else ''}"
+            last = lines[-1] if lines else ""
+            if proc.returncode < 0 or "MemoryError" in proc.stdout + proc.stderr:
+                last = f"memory limit of {MEMORY_LIMIT >> 20} MB reached; {last}"
+            summary = f"{stage}: {last}"
             if proc.returncode:
                 return "killed", summary
     return ("equivalent" if mutant.equivalent else "survived"), summary

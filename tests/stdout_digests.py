@@ -17,6 +17,9 @@ case on E6, which lists no W.  Two E6 calls take the lattice enumerator
 through six levels: `char lattice --type E6 -p 13 --order 6` and `verify
 submodule_bound --type E6 -p 2 --order 3`.  Two `verify exponent_identity`
 calls, on A4 p=5 and D4 p=6, run both orbit-exponent routes on every case.
+Two `char w` calls hand the parameter door a bad lambda: lambda0 = omega_2
+on D4, which is not a class representative, and the digit p on A2; each
+exits 2 with empty stdout.
 
 Stdlib only; the file name keeps pytest from collecting it.
 """
@@ -59,6 +62,8 @@ def argvs() -> list[list[str]]:
         ["verify", "submodule_bound", "--type", "E6", "-p", "2", "--order", "3"],
         ["verify", "exponent_identity", "--type", "A4", "-p", "5", "--order", "3"],
         ["verify", "exponent_identity", "--type", "D4", "-p", "6", "--order", "3"],
+        ["char", "w", "--type", "D4", "-p", "6", "--lambda0", "0,1,0,0"],
+        ["char", "w", "--type", "A2", "-p", "3", "--sp", "0,3"],
     ]
     return list(map(list, dict.fromkeys(map(tuple, calls))))
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import ceil, floor, isqrt, prod
 
@@ -12,12 +13,16 @@ from tripletw import (
     affine_exponent,
     build_model,
     build_root_system,
+    delta_lambda,
     direct_exponent,
     dual_module_param,
     dual_param,
     epsilon,
+    lattice_char,
     lemma39_test,
     lemma310_construct,
+    longest_element,
+    module_char,
     narrow,
     norm_sq,
     pairing,
@@ -27,7 +32,7 @@ from tripletw import (
     weyl_enumerate,
 )
 from tripletw._exact import dot, int_vec, lattice_points, mat_vec
-from tripletw.params import lemma216_cond1, minus_w0, pq_class
+from tripletw.params import lambda_x, lemma216_cond1, minus_w0, pq_class
 from tripletw.qseries import qseries
 from tripletw.rootsys import in_root_lattice
 
@@ -275,6 +280,47 @@ GATED = {
 }
 
 
+def _zero(mp):
+    return (0,) * mp.rs.rank
+
+
+# Every public function that takes a LambdaParam, as call(mp, lam).
+LAMBDA_CONSUMERS = {
+    "w_char": lambda mp, lam: w_char(mp, _zero(mp), lam, 4),
+    "w_char_affine": lambda mp, lam: w_char_affine(mp, _zero(mp), lam, 4),
+    "module_char": lambda mp, lam: module_char(mp, lam, 4),
+    "lattice_char": lambda mp, lam: lattice_char(mp, lam, 4),
+    "direct_exponent": lambda mp, lam: direct_exponent(mp, longest_element(mp.rs),
+                                                       _zero(mp), lam),
+    "affine_exponent": lambda mp, lam: affine_exponent(mp, longest_element(mp.rs),
+                                                       _zero(mp), lam),
+    "lemma39_test": lambda mp, lam: lemma39_test(mp, longest_element(mp.rs), _zero(mp),
+                                                 _zero(mp), lam),
+    "lambda_x": lambda_x,
+    "delta_lambda": delta_lambda,
+    "dual_param": dual_param,
+    "dual_module_param": dual_module_param,
+}
+
+
+def _with_lambda0(call, x):
+    return call(_MP, LambdaParam(x, (1, 0), 3))
+
+
+def _with_sp(call, s):
+    return call(_MP, LambdaParam((1, 0), s, 3))
+
+
+# Both fields of a consumer's LambdaParam are gated when it is built; the
+# rows "dual_param" and "dual_module_param" above gate the digits already.
+DIGIT_GATES = ["narrow", "dual_param", "dual_module_param"]
+for _name, _call in LAMBDA_CONSUMERS.items():
+    GATED[f"{_name} lambda0"] = (partial(_with_lambda0, _call), (1, 0))
+    if _name not in DIGIT_GATES:
+        GATED[f"{_name} sp"] = (partial(_with_sp, _call), (1, 0))
+        DIGIT_GATES.append(f"{_name} sp")
+
+
 @pytest.mark.parametrize("name", GATED)
 def test_gate_rejects_floats_and_takes_integral_fractions(name):
     call, v = GATED[name]
@@ -284,7 +330,7 @@ def test_gate_rejects_floats_and_takes_integral_fractions(name):
     assert call(tuple(map(Fraction, v))) == call(v)
 
 
-@pytest.mark.parametrize("name", ["narrow", "dual_param", "dual_module_param"])
+@pytest.mark.parametrize("name", DIGIT_GATES)
 def test_digit_gates_reject_out_of_range_digits(name):
     # a caller's digits outside [0, p-1] are a ValueError, never the
     # RuntimeError of an internal fault
@@ -292,3 +338,34 @@ def test_digit_gates_reject_out_of_range_digits(name):
     for bad in ((5, 0), (-1, 0), (0, 3)):
         with pytest.raises(ValueError, match="out of range"):
             call(bad)
+
+
+# (type, p, lambda0, sp, p of the parameter, the error): each bad part is
+# caught either when the LambdaParam is built or when a consumer checks it
+# against the model, and always as a ValueError.
+BAD_PARAMS = [
+    ("A1", 3, (Fraction(1, 2),), (0,), 3, "non-integral"),
+    ("A1", 3, (0,), (Fraction(1, 2),), 3, "non-integral"),
+    ("A1", 3, (0.0,), (0,), 3, "non-integral"),
+    ("A1", 3, (0,), (7,), 3, "out of range"),
+    ("A2", 3, (0, 0), (3, 0), 3, "out of range"),
+    ("A2", 3, (0, 0), (-1, 0), 3, "out of range"),
+    ("A2", 3, (0, 0), (0,), 3, "dimension mismatch"),
+    ("A2", 3, (0,), (0,), 3, "is not one of"),
+    ("A2", 3, (0, 0), (0, 0), 4, "mixed p"),
+    ("A2", 3, (1, 1), (0, 0), 3, "is not one of"),
+    ("D4", 6, (0, 1, 0, 0), (0, 0, 0, 0), 6, "is not one of"),
+]
+
+
+@pytest.mark.parametrize("name", LAMBDA_CONSUMERS)
+def test_every_lambda_consumer_rejects_a_bad_parameter(name):
+    # never a RuntimeError, a TypeError or a result
+    call = LAMBDA_CONSUMERS[name]
+    for t, p, lambda0, sp, lam_p, error in BAD_PARAMS:
+        mp = build_model(build_root_system(t), p)
+        with pytest.raises(ValueError, match=error):
+            call(mp, LambdaParam(lambda0, sp, lam_p))
+    for t, p in (("A1", 3), ("A2", 3), ("D4", 6)):
+        mp = build_model(build_root_system(t), p)
+        call(mp, LambdaParam(_zero(mp), _zero(mp), p))

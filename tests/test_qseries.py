@@ -26,15 +26,10 @@ from tripletw import (
     conformal_weight,
     delta_lambda,
     enum_dominant_in_Q,
-    eta_inv_pow,
-    fock_char,
     lambda0_set,
     lattice_char,
     module_char,
-    qs_add,
     qs_eq,
-    qs_mul,
-    qs_scale,
     to_json_dict,
     w_char,
     w_char_affine,
@@ -62,46 +57,6 @@ def test_qseries_normalization():
         qseries(0, ())
 
 
-def test_qs_add_aligned():
-    a = qseries(0, (1, 1, 1))
-    b = qseries(1, (1,))
-    s = qs_add(a, b)
-    assert (s.base, s.coeffs) == (0, (1, 2))
-
-
-def test_qs_add_zero_operand_other_coset():
-    z = qseries(Fraction(1, 3), (0,))
-    b = qseries(0, (1, 1, 1))
-    # the zero series carries no terms, it only narrows the window
-    s = qs_add(z, b)
-    assert (s.base, s.coeffs) == (0, (1,))
-    assert qs_add(b, z) == s
-
-
-def test_qs_add_underflow():
-    a = qseries(10, (1, 1, 1))
-    z = qseries(Fraction(1, 3), (0,))
-    with pytest.raises(OrderUnderflow) as ei:
-        qs_add(a, z)
-    assert ei.value.required == 10
-
-
-def test_qs_add_incompatible():
-    with pytest.raises(IncompatibleBases):
-        qs_add(qseries(0, (1,)), qseries(Fraction(1, 2), (1,)))
-
-
-def test_qs_mul():
-    a = qseries(0, (1, 1))
-    b = qseries(0, (1, -1))
-    assert qs_mul(a, b) == qseries(0, (1, 0))
-    c = qs_mul(qseries(Fraction(1, 3), (2, 1)), qseries(Fraction(1, 6), (3,)))
-    assert (c.base, c.coeffs) == (Fraction(1, 2), (6,))
-    assert qs_scale(a, -2).coeffs == (-2, -2)
-    with pytest.raises(ValueError):
-        qs_scale(a, Fraction(1, 2))
-
-
 def test_qs_eq_windows():
     a = qseries(0, (1, 2, 3))
     b = qseries(0, (1, 2, 3, 4, 5, 6))
@@ -111,6 +66,8 @@ def test_qs_eq_windows():
     assert ei.value.required == 4
     assert not qs_eq(a, qseries(0, (1, 2, 4)), 2)
     assert qs_eq(a, qseries(-2, (0, 0, 1, 2, 3)), 2)
+    with pytest.raises(IncompatibleBases):
+        qs_eq(a, qseries(Fraction(1, 2), (1,)), 0)
 
 
 def test_qs_eq_zero_other_coset():
@@ -122,35 +79,11 @@ def test_qs_eq_zero_other_coset():
     assert qs_eq(z, qseries(5, (0, 0, 0)), 2)
 
 
-_pos_coeffs = st.lists(st.integers(0, 9), min_size=2, max_size=6).map(
-    lambda xs: tuple([xs[0] + 1] + xs[1:])
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_pos_coeffs, _pos_coeffs, _pos_coeffs, st.integers(0, 23))
-def test_qs_ring_properties(ca, cb, cc, d24):
-    # nonnegative coefficients with nonzero lead keep every window aligned,
-    # so the identities hold as structural equalities
-    base = Fraction(d24, 24)
-    a, b, c = qseries(base, ca), qseries(base, cb), qseries(base, cc)
-    assert qs_mul(a, b) == qs_mul(b, a)
-    assert qs_add(a, b) == qs_add(b, a)
-    n = min(x.order for x in (a, b, c))
-    lhs = qs_mul(a, qs_add(b, c))
-    rhs = qs_add(qs_mul(a, b), qs_mul(a, c))
-    assert qs_eq(lhs, rhs, min(lhs.order, rhs.order, n))
-    unit = qseries(0, (1,) + (0,) * a.order)
-    assert qs_mul(a, unit) == a
-
-
 def test_eta_inverse_powers():
-    e1 = eta_inv_pow(1, 5)
-    assert e1.base == Fraction(-1, 24)
-    assert e1.coeffs == (1, 1, 2, 3, 5, 7)
-    e2 = eta_inv_pow(2, 4)
-    assert e2.base == Fraction(-1, 12)
-    assert e2.coeffs == (1, 2, 5, 10, 20)
+    # eta^-l = q^(-l/24) times the l-colored partition numbers: the tables of
+    # p(n) and of the bipartitions
+    assert colored_partitions(1, 5) == (1, 1, 2, 3, 5, 7)
+    assert colored_partitions(2, 4) == (1, 2, 5, 10, 20)
 
 
 @pytest.mark.parametrize("colors", [1, 2, 3, 4])
@@ -165,16 +98,16 @@ def test_colored_partitions_against_convolution(colors):
 def test_fock_base_is_delta_minus_c_over_24(x, p):
     # two independent routes: completing the square in the exponent versus
     # the conformal weight formula plus the strange formula
+    # the Fock character of mu is the one term _fock_scaled(mu) assembled
     rs = build_root_system("A2")
     mp = build_model(rs, p)
-    mu = ScaledWeight(x, p)
-    ch = fock_char(mp, mu, 3)
-    assert ch.base == conformal_weight(mp, mu) - central_charge(mp) / 24
+    ch = _assemble(mp, [(qseries_module._fock_scaled(mp, x), 1)], 3)
+    assert ch.base == conformal_weight(mp, ScaledWeight(x, p)) - central_charge(mp) / 24
 
 
 def test_fock_coeffs_are_colored_partitions(a2):
     mp = build_model(a2, 3)
-    ch = fock_char(mp, ScaledWeight((1, -2), 3), 12)
+    ch = _assemble(mp, [(qseries_module._fock_scaled(mp, (1, -2)), 1)], 12)
     assert ch.coeffs == tuple(closed_forms.colored_partitions(2, 12))
 
 
@@ -417,7 +350,6 @@ def test_negative_windows_are_rejected_at_entry(a2):
     mp = build_model(a2, 3)
     lam = LambdaParam((0, 0), (0, 0), 3)
     calls = {
-        "fock_char": lambda n: fock_char(mp, ScaledWeight((0, 0), 3), n),
         "w_char": lambda n: w_char(mp, (0, 0), lam, n),
         "w_char_affine": lambda n: w_char_affine(mp, (0, 0), lam, n),
         "module_char": lambda n: module_char(mp, lam, n),
